@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 data error (reported on stderr with context),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import unicodedata
@@ -39,7 +40,10 @@ def _read_lines(path: str):
 
 
 def _open_out(path: str | None):
-    return sys.stdout if path in (None, "-") else open(path, "w", encoding="utf-8", newline="\n")
+    """Context for output: sys.stdout, left open, for None or "-"; else a file closed on exit."""
+    if path in (None, "-"):
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 def _check_composed(line: str, lineno: int, source: str, nfd_ok: bool):
@@ -48,32 +52,32 @@ def _check_composed(line: str, lineno: int, source: str, nfd_ok: bool):
 
 
 def _cmd_tokenize(args) -> int:
-    out = _open_out(args.output)
-    for lineno, line in enumerate(_read_lines(args.input), start=1):
-        _check_composed(line, lineno, args.input, args.nfd_ok)
-        words = []
-        for token in line.split():
-            words.extend(corpus.clean_words(token))
-        try:
-            syllables = tokenizer.tokenize(" ".join(words))
-        except tokenizer.TokenizeError as exc:
-            raise DataError(f"{args.input}:{lineno}: {exc}") from None
-        if args.strict:
-            for index, syllable in enumerate(syllables):
-                problems = phonology.validate(syllable, strict=True)
-                if problems:
-                    raise DataError(f"{args.input}:{lineno}: word {index}: {'; '.join(problems)}")
-        print(tokenizer.format_phonemes(syllables), file=out)
+    with _open_out(args.output) as out:
+        for lineno, line in enumerate(_read_lines(args.input), start=1):
+            _check_composed(line, lineno, args.input, args.nfd_ok)
+            words = []
+            for token in line.split():
+                words.extend(corpus.clean_words(token))
+            try:
+                syllables = tokenizer.tokenize(" ".join(words))
+            except tokenizer.TokenizeError as exc:
+                raise DataError(f"{args.input}:{lineno}: {exc}") from None
+            if args.strict:
+                for index, syllable in enumerate(syllables):
+                    problems = phonology.validate(syllable, strict=True)
+                    if problems:
+                        raise DataError(f"{args.input}:{lineno}: word {index}: {'; '.join(problems)}")
+            print(tokenizer.format_phonemes(syllables), file=out)
     return 0
 
 
 def _cmd_detokenize(args) -> int:
-    out = _open_out(args.output)
-    for lineno, line in enumerate(_read_lines(args.input), start=1):
-        try:
-            print(tokenizer.detokenize(tokenizer.parse_phonemes(line)), file=out)
-        except (ValueError, KeyError) as exc:
-            raise DataError(f"{args.input}:{lineno}: {exc}") from None
+    with _open_out(args.output) as out:
+        for lineno, line in enumerate(_read_lines(args.input), start=1):
+            try:
+                print(tokenizer.detokenize(tokenizer.parse_phonemes(line)), file=out)
+            except (ValueError, KeyError) as exc:
+                raise DataError(f"{args.input}:{lineno}: {exc}") from None
     return 0
 
 
@@ -151,14 +155,11 @@ def _cmd_filter(args) -> int:
     except corpus.MalformedManifestLine as exc:
         raise DataError(f"{args.manifest}: {exc}") from None
     kept, discarded, stats = corpus.filter_manifest(records)
-    if args.output:
-        with _open_out(args.output) as fh:
-            for record in kept:
-                print(record.to_json(), file=fh)
-    if args.discard_file:
-        with _open_out(args.discard_file) as fh:
-            for record in discarded:
-                print(record.to_json(), file=fh)
+    for path, chosen in ((args.output, kept), (args.discard_file, discarded)):
+        if path:
+            with _open_out(path) as fh:
+                for record in chosen:
+                    print(record.to_json(), file=fh)
     payload = stats.as_dict()
     if args.expected_stats:
         payload["reference"] = {

@@ -12,13 +12,17 @@ verified against central finite differences.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
+from .vocab import IdOutOfRange
+
 HEADS = ("init", "rhyme", "tone")
 TONE_SPACE = 6
 LN_EPS = 1e-5
+HEAD_PARTS = ("ln_gain", "ln_bias", "w_up", "w_down", "w_out", "b_out")
 
 
 class NonFiniteInput(ValueError):
@@ -30,10 +34,6 @@ class ShapeMismatch(ValueError):
 
 
 class LengthMismatch(ValueError):
-    pass
-
-
-class IdOutOfRange(IndexError):
     pass
 
 
@@ -68,7 +68,7 @@ class HeadParams:
         for head in HEADS:
             yield f"embed.{head}", self.embed[head]
         for head in HEADS:
-            for part in ("ln_gain", "ln_bias", "w_up", "w_down", "w_out", "b_out"):
+            for part in HEAD_PARTS:
                 yield f"{head}.{part}", getattr(self, part)[head]
 
     def check_shapes(self) -> None:
@@ -117,19 +117,19 @@ def zero_params(config: HeadConfig) -> HeadParams:
 
 
 # ---------------------------------------------------------------------------
-# Forward pieces
+# Forward pass
 # ---------------------------------------------------------------------------
 
-def _layer_norm_fwd(x, gain, bias, eps=LN_EPS):
+def _layer_norm_fwd(x, gain, bias):
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)  # ε keeps the degenerate zero-variance case defined
+    inv = 1.0 / np.sqrt(var + LN_EPS)  # ε keeps the degenerate zero-variance case defined
     xhat = (x - mean) * inv
     return gain * xhat + bias, xhat, inv
 
 
-def layer_norm(x, gain, bias, eps=LN_EPS):
-    return _layer_norm_fwd(np.asarray(x, float), gain, bias, eps)[0]
+def layer_norm(x, gain, bias):
+    return _layer_norm_fwd(np.asarray(x, float), gain, bias)[0]
 
 
 def _layer_norm_bwd(dy, gain, xhat, inv):
@@ -145,54 +145,84 @@ def _layer_norm_bwd(dy, gain, xhat, inv):
     return dx, dgain, dbias
 
 
-def ffn_forward(f, gain, bias, w_up, w_down, residual: str = "normalized", eps=LN_EPS):
+#: one head's FFN intermediates, kept for the backward pass: layer-normed input,
+#: standardized input, 1/std, rectifier pre-activations and output, residual sum
+FfnCache = namedtuple("FfnCache", "h xhat inv u r out")
+
+
+def _ffn(f, gain, bias, w_up, w_down, residual) -> FfnCache:
+    """The FFN head body on checked input, shared by every forward entry."""
+    h, xhat, inv = _layer_norm_fwd(f, gain, bias)
+    u = h @ w_up
+    r = np.maximum(u, 0.0)
+    return FfnCache(h, xhat, inv, u, r, (h if residual == "normalized" else f) + r @ w_down)
+
+
+def _checked_features(f, residual):
+    f = np.asarray(f, float)
+    if not np.all(np.isfinite(f)):
+        raise NonFiniteInput("non-finite values in FFN input")
+    if residual not in ("normalized", "input"):
+        raise ValueError(f"unknown residual mode: {residual!r}")
+    return f
+
+
+def ffn_forward(f, gain, bias, w_up, w_down, residual: str = "normalized"):
     """Layer norm followed by the residual rectified two-layer map.
 
     residual="normalized" adds the branch output to the normalized vector,
     following the reassignment sequence of the reference description;
     residual="input" adds it to the raw input instead.
     """
-    f = np.asarray(f, float)
-    if not np.all(np.isfinite(f)):
-        raise NonFiniteInput("non-finite values in FFN input")
-    if residual not in ("normalized", "input"):
-        raise ValueError(f"unknown residual mode: {residual!r}")
-    h, _, _ = _layer_norm_fwd(f, gain, bias, eps)
-    branch = np.maximum(h @ w_up, 0.0) @ w_down
-    return (h if residual == "normalized" else f) + branch
+    return _ffn(_checked_features(f, residual), gain, bias, w_up, w_down, residual).out
+
+
+def _run_heads(f_dec, params: HeadParams, residual: str):
+    """Checked features through every head: (logits, head -> FfnCache)."""
+    f_dec = _checked_features(f_dec, residual)
+    if f_dec.shape[-1] != params.config.dim:
+        raise ShapeMismatch(f"feature dim {f_dec.shape[-1]} != model dim {params.config.dim}")
+    logits, layers = {}, {}
+    for head in HEADS:
+        layers[head] = _ffn(f_dec, params.ln_gain[head], params.ln_bias[head],
+                            params.w_up[head], params.w_down[head], residual)
+        logits[head] = layers[head].out @ params.w_out[head] + params.b_out[head]
+    return logits, layers
 
 
 def head_logits(f_dec, params: HeadParams, residual: str = "normalized") -> dict[str, np.ndarray]:
     """Per-head logits for a decoder feature vector (or a batch of them)."""
-    f_dec = np.asarray(f_dec, float)
-    if f_dec.shape[-1] != params.config.dim:
-        raise ShapeMismatch(f"feature dim {f_dec.shape[-1]} != model dim {params.config.dim}")
-    logits = {}
-    for head in HEADS:
-        out = ffn_forward(
-            f_dec, params.ln_gain[head], params.ln_bias[head],
-            params.w_up[head], params.w_down[head], residual,
-        )
-        logits[head] = out @ params.w_out[head] + params.b_out[head]
-    return logits
+    return _run_heads(f_dec, params, residual)[0]
 
 
-def embed_prev(ids, params: HeadParams) -> np.ndarray:
-    """Embed an (init, rhyme, tone) id triple (or batch), concatenate, fuse."""
-    single = np.asarray(ids).ndim == 1
+def _embed(ids, params: HeadParams):
+    """Checked (n, 3) ids, their concatenated embeddings and the fused features."""
     ids = np.atleast_2d(np.asarray(ids, int))
     if ids.shape[-1] != 3:
         raise ShapeMismatch(f"expected id triples, got shape {ids.shape}")
     for column, head in enumerate(HEADS):
         v = params.config.vocab_sizes[head]
-        column_ids = ids[:, column]
-        if ((column_ids < 0) | (column_ids >= v)).any():
-            raise IdOutOfRange(f"{head} id out of range [0, {v})")
-    concat = np.concatenate(
+        bad = ids[:, column][(ids[:, column] < 0) | (ids[:, column] >= v)]
+        if bad.size:
+            raise IdOutOfRange(head, int(bad[0]), v)
+    x_cat = np.concatenate(
         [params.embed[head][ids[:, column]] for column, head in enumerate(HEADS)], axis=-1
     )
-    fused = concat @ params.fuse
-    return fused[0] if single else fused
+    return ids, x_cat, x_cat @ params.fuse
+
+
+def embed_prev(ids, params: HeadParams) -> np.ndarray:
+    """Embed an (init, rhyme, tone) id triple (or batch), concatenate, fuse."""
+    fused = _embed(ids, params)[2]
+    return fused[0] if np.asarray(ids).ndim == 1 else fused
+
+
+def forward(params: HeadParams, prev_ids, residual: str = "normalized"):
+    """Per-head logits, and the cache sequence_grads reads: (checked (n, 3) ids,
+    concatenated embeddings, head -> FfnCache)."""
+    ids, x_cat, f_dec = _embed(prev_ids, params)
+    logits, layers = _run_heads(f_dec, params, residual)
+    return logits, (ids, x_cat, layers)
 
 
 def softmax(logits):
@@ -225,8 +255,7 @@ def composite_loss(logits: dict[str, np.ndarray], targets: dict[str, np.ndarray]
 
 def sequence_loss(params: HeadParams, prev_ids, targets, residual: str = "normalized"):
     """Composite loss of the full pipeline: embed previous ids, run the heads."""
-    f_dec = np.atleast_2d(embed_prev(prev_ids, params))
-    return composite_loss(head_logits(f_dec, params, residual), targets)
+    return composite_loss(forward(params, prev_ids, residual)[0], targets)
 
 
 def sequence_grads(params: HeadParams, prev_ids, targets, residual: str = "normalized"):
@@ -234,28 +263,13 @@ def sequence_grads(params: HeadParams, prev_ids, targets, residual: str = "norma
 
     Returns (total, per_head, grads) with grads keyed like named_arrays().
     """
-    cfg = params.config
-    ids = np.atleast_2d(np.asarray(prev_ids, int))
-    n = ids.shape[0]
-
-    # forward, caching intermediates
-    x_cat = np.concatenate([params.embed[h][ids[:, c]] for c, h in enumerate(HEADS)], axis=-1)
-    f = x_cat @ params.fuse
-    cache = {}
-    logits = {}
-    for head in HEADS:
-        h_norm, xhat, inv = _layer_norm_fwd(f, params.ln_gain[head], params.ln_bias[head])
-        u = h_norm @ params.w_up[head]
-        r = np.maximum(u, 0.0)
-        out = (h_norm if residual == "normalized" else f) + r @ params.w_down[head]
-        logits[head] = out @ params.w_out[head] + params.b_out[head]
-        cache[head] = (h_norm, xhat, inv, u, r, out)
+    logits, (ids, x_cat, layers) = forward(params, prev_ids, residual)
     total, per_head = composite_loss(logits, targets)
-
+    n, d = ids.shape[0], params.config.dim
     grads = {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
-    df = np.zeros_like(f)
+    df = np.zeros((n, d))
     for head in HEADS:
-        h_norm, xhat, inv, u, r, out = cache[head]
+        h_norm, xhat, inv, u, r, out = layers[head]
         y = np.atleast_1d(np.asarray(targets[head], int))
         dz = softmax(logits[head])
         dz[np.arange(n), y] -= 1.0
@@ -278,7 +292,6 @@ def sequence_grads(params: HeadParams, prev_ids, targets, residual: str = "norma
             df += dout
     grads["fuse"] += x_cat.T @ df
     dx_cat = df @ params.fuse.T
-    d = cfg.dim
     for column, head in enumerate(HEADS):
         np.add.at(grads[f"embed.{head}"], ids[:, column], dx_cat[:, column * d:(column + 1) * d])
     return total, per_head, grads
@@ -386,11 +399,8 @@ def toy_batch(seed: int, residual: str = "normalized"):
         ids = np.column_stack([rng.integers(0, v, size=n) for v in
                                (config.v_init, config.v_rhyme, config.v_tone)])
         targets = {h: rng.integers(0, v, size=n) for h, v in config.vocab_sizes.items()}
-        f = np.atleast_2d(embed_prev(ids, params))
-        margin = min(
-            float(np.abs(layer_norm(f, params.ln_gain[h], params.ln_bias[h]) @ params.w_up[h]).min())
-            for h in HEADS
-        )
+        _, (_, _, layers) = forward(params, ids, residual)
+        margin = min(float(np.abs(layers[h].u).min()) for h in HEADS)
         if margin > KINK_MARGIN:
             return params, ids, targets
     raise RuntimeError(f"no kink-free configuration found from seed {seed}")
@@ -458,12 +468,7 @@ def load_params(path) -> HeadParams:
         config=config,
         embed={h: arrays[f"embed.{h}"] for h in HEADS},
         fuse=arrays["fuse"],
-        ln_gain={h: arrays[f"{h}.ln_gain"] for h in HEADS},
-        ln_bias={h: arrays[f"{h}.ln_bias"] for h in HEADS},
-        w_up={h: arrays[f"{h}.w_up"] for h in HEADS},
-        w_down={h: arrays[f"{h}.w_down"] for h in HEADS},
-        w_out={h: arrays[f"{h}.w_out"] for h in HEADS},
-        b_out={h: arrays[f"{h}.b_out"] for h in HEADS},
+        **{part: {h: arrays[f"{h}.{part}"] for h in HEADS} for part in HEAD_PARTS},
     )
     params.check_shapes()
     return params

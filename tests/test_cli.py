@@ -41,6 +41,16 @@ class TestTokenize:
         src.write_text("gáp\n", "utf-8")
         assert run(capsys, "tokenize", "--strict", str(src))[0] == 0
 
+    def test_output_file_is_complete(self, capsys, tmp_path):
+        src = tmp_path / "in.txt"
+        src.write_text("hoàng\nba mẹ\n", "utf-8")
+        _, expected, _ = run(capsys, "tokenize", str(src))
+        dest = tmp_path / "out.txt"
+        code, out, _ = run(capsys, "tokenize", str(src), "-o", str(dest))
+        assert code == 0 and out == ""
+        assert dest.read_text("utf-8") == expected
+        assert len(expected.splitlines()) == 2
+
     def test_nfd_rejected_when_disabled(self, capsys, tmp_path):
         import unicodedata
 
@@ -149,6 +159,15 @@ class TestFilter:
         assert stats["overall"]["percent"] == 10.0
         assert len(kept.read_text("utf-8").splitlines()) == 9
         assert "okay" in bad.read_text("utf-8")
+
+    def test_kept_records_to_stdout(self, capsys, tmp_path):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text('{"id": "a", "transcript": "ba", "split": "train"}\n', "utf-8")
+        code, out, err = run(capsys, "filter", str(manifest), "-o", "-")
+        assert code == 0, err
+        record_line, stats_text = out.split("\n", 1)
+        assert json.loads(record_line)["id"] == "a"
+        assert json.loads(stats_text)["overall"]["percent"] == 0.0
 
     def test_reference_comparison(self, capsys, tmp_path):
         manifest = tmp_path / "m.jsonl"

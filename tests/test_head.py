@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from vietphon import vocab
 from vietphon.head import (
     HEADS,
     GradCheckReport,
@@ -157,10 +158,13 @@ class TestEmbedPrev:
             )
 
     def test_id_out_of_range(self, params):
-        with pytest.raises(IdOutOfRange):
+        with pytest.raises(vocab.IdOutOfRange) as exc:
             embed_prev((0, CONFIG.v_rhyme, 0), params)
-        with pytest.raises(IdOutOfRange):
+        assert exc.value.space == "rhyme" and exc.value.token_id == CONFIG.v_rhyme
+        with pytest.raises(IdOutOfRange) as exc:
             embed_prev((-1, 0, 0), params)
+        assert exc.value.space == "init" and exc.value.token_id == -1
+        assert IdOutOfRange is vocab.IdOutOfRange
 
     def test_batch_shape(self, params):
         out = embed_prev([[0, 0, 0], [1, 1, 1]], params)
@@ -245,6 +249,26 @@ class TestGradients:
         report = GradCheckReport(rows=(("fuse", 1e-7),), tolerance=1e-4)
         payload = report.as_dict()
         assert payload["passed"] and payload["max_rel_err"] == 1e-7
+
+    def test_grads_reject_what_the_loss_rejects(self):
+        params, ids, targets = toy_batch(seed=0)
+        with pytest.raises(ValueError):
+            sequence_grads(params, ids, targets, residual="raw")
+        bad_ids = np.array(ids)
+        bad_ids[0, 0] = -1
+        with pytest.raises(IdOutOfRange):
+            sequence_grads(params, bad_ids, targets)
+        params.embed["init"][:] = np.nan
+        with pytest.raises(NonFiniteInput):
+            sequence_grads(params, ids, targets)
+
+    def test_grads_total_is_the_loss(self):
+        for residual in ("normalized", "input"):
+            for seed in range(10):
+                params, ids, targets = toy_batch(seed, residual)
+                loss, _ = sequence_loss(params, ids, targets, residual)
+                total, _, _ = sequence_grads(params, ids, targets, residual)
+                assert total == loss, (residual, seed)
 
     def test_finite_differences_standalone(self):
         params, ids, targets = toy_batch(seed=5)

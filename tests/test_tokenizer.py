@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vietphon.lexicon import iter_syllables
 from vietphon.phonology import PhonemeClass, Syllable, Tone, validate
 from vietphon.tokenizer import (
     MAX_RULE_COMPARISONS,
@@ -221,6 +222,11 @@ class TestRoundTrip:
         mismatches = [w for w in lexicon
                       if render_syllable(parse_syllable(w).syllable) != w]
         assert mismatches == []
+
+    def test_shipped_lexicon_is_the_closed_set(self, lexicon):
+        # tools/build_lexicon.py writes this enumeration; drift in the rule
+        # code, the closed set or the committed file shows here
+        assert lexicon == sorted(render_syllable(s) for s in iter_syllables())
 
     def test_injectivity(self, lexicon):
         seen = {}
