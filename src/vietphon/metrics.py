@@ -122,8 +122,8 @@ def _report(ref: Sequence, hyp: Sequence) -> ErrorRateReport:
 
 
 def wer(ref: str, hyp: str) -> ErrorRateReport:
-    """Word error rate over whitespace-separated, canonically composed words."""
-    return _report(*(unicodedata.normalize("NFC", text).split() for text in (ref, hyp)))
+    """Word error rate over whitespace-separated words."""
+    return _report(ref.split(), hyp.split())
 
 
 def cer(ref: str, hyp: str, include_spaces: bool = False) -> ErrorRateReport:
