@@ -29,21 +29,37 @@ class DataError(Exception):
     """Wraps data-level failures with file/line context for stderr."""
 
 
-def _read_lines(path: str):
-    if path == "-":
-        return sys.stdin.read().splitlines()
+@contextlib.contextmanager
+def _os_errors(path: str):
+    """Report an OSError on path as one DataError line: "path: reason"."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read().splitlines()
+        yield
     except OSError as exc:
-        raise DataError(str(exc)) from None
+        raise DataError(f"{path}: {exc.strerror or exc}") from None
+
+
+def _read_lines(path: str):
+    """Lines of a UTF-8 file, or of stdin for "-"; bad bytes raise DataError with file:line."""
+    source = "<stdin>" if path == "-" else path
+    with _os_errors(source):
+        if path == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{source}:{lineno}: invalid UTF-8 ({exc.reason})") from None
 
 
 def _open_out(path: str | None):
     """Context for output: sys.stdout, left open, for None or "-"; else a file closed on exit."""
     if path in (None, "-"):
         return contextlib.nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8", newline="\n")
+    with _os_errors(path):
+        return open(path, "w", encoding="utf-8", newline="\n")
 
 
 def _check_composed(line: str, lineno: int, source: str, nfd_ok: bool):
@@ -109,7 +125,8 @@ def _cmd_vocab(args) -> int:
     except tokenizer.TokenizeError as exc:
         raise DataError(str(exc)) from None
     if args.output:
-        vocab.save_vocab(built, args.output)
+        with _os_errors(args.output):
+            vocab.save_vocab(built, args.output)
     print(json.dumps(vocab.vocab_report(built), ensure_ascii=False, indent=2))
     return 0
 
@@ -127,7 +144,10 @@ def _cmd_score(args) -> int:
                 continue
             try:
                 payload = json.loads(line)
-                pairs.append((payload["ref"], payload["hyp"]))
+                pair = (payload["ref"], payload["hyp"])
+                if not all(isinstance(text, str) for text in pair):
+                    raise TypeError("ref and hyp must be strings")
+                pairs.append(pair)
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise DataError(f"{args.pairs}:{lineno}: bad pair line ({exc})") from None
     else:
@@ -155,11 +175,12 @@ def _cmd_filter(args) -> int:
     except corpus.MalformedManifestLine as exc:
         raise DataError(f"{args.manifest}: {exc}") from None
     kept, discarded, stats = corpus.filter_manifest(records)
-    for path, chosen in ((args.output, kept), (args.discard_file, discarded)):
-        if path:
-            with _open_out(path) as fh:
-                for record in chosen:
-                    print(record.to_json(), file=fh)
+    with contextlib.ExitStack() as stack:
+        outputs = [(stack.enter_context(_open_out(path)), chosen)
+                   for path, chosen in ((args.output, kept), (args.discard_file, discarded)) if path]
+        for fh, chosen in outputs:
+            for record in chosen:
+                print(record.to_json(), file=fh)
     payload = stats.as_dict()
     if args.expected_stats:
         payload["reference"] = {
@@ -174,7 +195,8 @@ def _cmd_filter(args) -> int:
 def _cmd_demo_head(args) -> int:
     if args.dump_params:
         params = head.init_params(head.HeadConfig(dim=4, v_init=8, v_rhyme=10), seed=args.seed)
-        head.save_params(params, args.dump_params)
+        with _os_errors(args.dump_params):
+            head.save_params(params, args.dump_params)
     if args.load_params:
         try:
             params = head.load_params(args.load_params)

@@ -12,6 +12,7 @@ verified against central finite differences.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -72,44 +73,45 @@ class HeadParams:
                 yield f"{head}.{part}", getattr(self, part)[head]
 
     def check_shapes(self) -> None:
-        d = self.config.dim
-        if self.config.v_tone != TONE_SPACE:
-            raise ShapeMismatch(f"tone vocabulary must be {TONE_SPACE}, got {self.config.v_tone}")
-        expected = {"fuse": (3 * d, d)}
-        for head, v in self.config.vocab_sizes.items():
-            expected[f"embed.{head}"] = (v, d)
-            expected[f"{head}.ln_gain"] = (d,)
-            expected[f"{head}.ln_bias"] = (d,)
-            expected[f"{head}.w_up"] = (d, 2 * d)
-            expected[f"{head}.w_down"] = (2 * d, d)
-            expected[f"{head}.w_out"] = (d, v)
-            expected[f"{head}.b_out"] = (v,)
-        for name, array in self.named_arrays():
-            if array.shape != expected[name]:
-                raise ShapeMismatch(f"{name}: expected {expected[name]}, got {array.shape}")
+        _assemble(self.config, dict(self.named_arrays()))
+
+
+def _param_shapes(config: HeadConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter array, in the order init_params draws them."""
+    d = config.dim
+    shapes = {f"embed.{head}": (v, d) for head, v in config.vocab_sizes.items()}
+    shapes["fuse"] = (3 * d, d)
+    for part in HEAD_PARTS:
+        for head, v in config.vocab_sizes.items():
+            shapes[f"{head}.{part}"] = {
+                "ln_gain": (d,), "ln_bias": (d,), "w_up": (d, 2 * d),
+                "w_down": (2 * d, d), "w_out": (d, v), "b_out": (v,),
+            }[part]
+    return shapes
+
+
+def _assemble(config: HeadConfig, arrays: dict[str, np.ndarray]) -> HeadParams:
+    """HeadParams from named arrays, each checked against _param_shapes."""
+    if config.v_tone != TONE_SPACE:
+        raise ShapeMismatch(f"tone vocabulary must be {TONE_SPACE}, got {config.v_tone}")
+    for name, shape in _param_shapes(config).items():
+        if name not in arrays:
+            raise ValueError(f"missing parameter array {name!r}")
+        if arrays[name].shape != shape:
+            raise ShapeMismatch(f"{name}: expected {shape}, got {arrays[name].shape}")
+    return HeadParams(
+        config=config,
+        embed={h: arrays[f"embed.{h}"] for h in HEADS},
+        fuse=arrays["fuse"],
+        **{part: {h: arrays[f"{h}.{part}"] for h in HEADS} for part in HEAD_PARTS},
+    )
 
 
 def init_params(config: HeadConfig, seed: int = 0, scale: float = 0.1) -> HeadParams:
     """Seeded uniform initialization in [-scale, scale], reproducible."""
     rng = np.random.default_rng(seed)
-
-    def u(*shape):
-        return rng.uniform(-scale, scale, size=shape)
-
-    d = config.dim
-    params = HeadParams(
-        config=config,
-        embed={h: u(v, d) for h, v in config.vocab_sizes.items()},
-        fuse=u(3 * d, d),
-        ln_gain={h: u(d) for h in HEADS},
-        ln_bias={h: u(d) for h in HEADS},
-        w_up={h: u(d, 2 * d) for h in HEADS},
-        w_down={h: u(2 * d, d) for h in HEADS},
-        w_out={h: u(d, config.vocab_sizes[h]) for h in HEADS},
-        b_out={h: u(config.vocab_sizes[h]) for h in HEADS},
-    )
-    params.check_shapes()
-    return params
+    return _assemble(config, {name: rng.uniform(-scale, scale, size=shape)
+                              for name, shape in _param_shapes(config).items()})
 
 
 def zero_params(config: HeadConfig) -> HeadParams:
@@ -452,23 +454,14 @@ def load_params(path) -> HeadParams:
         if not header.startswith("# vietphon head parameters v1"):
             raise ValueError("not a head parameter file")
         fields = dict(part.split("=") for part in header.split()[5:])
-        config = HeadConfig(
-            dim=int(fields["dim"]),
-            v_init=int(fields["v_init"]),
-            v_rhyme=int(fields["v_rhyme"]),
-            v_tone=int(fields["v_tone"]),
-        )
+        try:
+            config = HeadConfig(**{f.name: int(fields[f.name]) for f in dataclasses.fields(HeadConfig)})
+        except KeyError as exc:
+            raise ValueError(f"header field {exc.args[0]!r} missing") from None
         arrays = {}
         for line in fh:
             name, shape, values = line.rstrip("\n").split("\t")
             arrays[name] = np.array([float(v) for v in values.split()]).reshape(
                 tuple(int(s) for s in shape.split(","))
             )
-    params = HeadParams(
-        config=config,
-        embed={h: arrays[f"embed.{h}"] for h in HEADS},
-        fuse=arrays["fuse"],
-        **{part: {h: arrays[f"{h}.{part}"] for h in HEADS} for part in HEAD_PARTS},
-    )
-    params.check_shapes()
-    return params
+    return _assemble(config, arrays)

@@ -97,6 +97,23 @@ def align(ref: Sequence, hyp: Sequence) -> list[tuple[str, int, int]]:
     return ops
 
 
+def _tally(ops, ref: Sequence, hyp: Sequence, pick=lambda token: token) -> ErrorRateReport:
+    """S/D/I counts of align ops; a paired step is a substitution when pick differs on it."""
+    s = d = i_ = 0
+    for op, ri, hi in ops:
+        if op == "del":
+            d += 1
+        elif op == "ins":
+            i_ += 1
+        elif pick(ref[ri]) != pick(hyp[hi]):
+            s += 1
+    return ErrorRateReport(s, d, i_, len(ref))
+
+
+def _report(ref: Sequence, hyp: Sequence) -> ErrorRateReport:
+    return _tally(align(ref, hyp), ref, hyp)
+
+
 def edit_distance(ref: Sequence, hyp: Sequence) -> tuple[int, int, int, int]:
     """Levenshtein distance with unit costs: (distance, S, D, I).
 
@@ -105,20 +122,8 @@ def edit_distance(ref: Sequence, hyp: Sequence) -> tuple[int, int, int, int]:
     ("ins").  So edit_distance(x, "") is all deletions and
     edit_distance("", x) is all insertions.
     """
-    s = d = i_ = 0
-    for op, _, _ in align(ref, hyp):
-        if op == "sub":
-            s += 1
-        elif op == "del":
-            d += 1
-        elif op == "ins":
-            i_ += 1
-    return s + d + i_, s, d, i_
-
-
-def _report(ref: Sequence, hyp: Sequence) -> ErrorRateReport:
-    _, s, d, i_ = edit_distance(ref, hyp)
-    return ErrorRateReport(s, d, i_, len(ref))
+    report = _report(ref, hyp)
+    return report.errors, report.substitutions, report.deletions, report.insertions
 
 
 def wer(ref: str, hyp: str) -> ErrorRateReport:
@@ -188,15 +193,7 @@ def per_components(ref: str, hyp: str, alignment: str = "tuple") -> PerReport:
     if alignment == "tuple":
         ops = align(ref_syls, hyp_syls)
         for name, pick in _COMPONENTS:
-            s = d = i_ = 0
-            for op, ri, hi in ops:
-                if op == "del":
-                    d += 1
-                elif op == "ins":
-                    i_ += 1
-                elif pick(ref_syls[ri]) != pick(hyp_syls[hi]):
-                    s += 1
-            parts[name] = ErrorRateReport(s, d, i_, len(ref_syls))
+            parts[name] = _tally(ops, ref_syls, hyp_syls, pick)
     elif alignment == "flat":
         for name, pick in _COMPONENTS:
             parts[name] = _report([pick(s) for s in ref_syls], [pick(s) for s in hyp_syls])

@@ -72,8 +72,13 @@ class GraphemeRule:
         return len(self.written_form)
 
 
+def rules_text() -> str:
+    """The shipped rule table, verbatim, for CLI audit dumps."""
+    return resources.files("vietphon.data").joinpath("grapheme_rules.tsv").read_text("utf-8")
+
+
 def _load_rules() -> tuple[GraphemeRule, ...]:
-    text = resources.files("vietphon.data").joinpath("grapheme_rules.tsv").read_text("utf-8")
+    text = rules_text()
     rules = []
     version = None
     for line in text.splitlines():
@@ -107,11 +112,6 @@ def inventory(phoneme_class: PhonemeClass, kind: str | None = None) -> list[Grap
     if kind is not None:
         rules = [r for r in rules if r.kind == kind]
     return sorted(rules, key=lambda r: (-r.match_priority, r.written_form, r.tag))
-
-
-def rules_text() -> str:
-    """The shipped rule table, verbatim, for CLI audit dumps."""
-    return resources.files("vietphon.data").joinpath("grapheme_rules.tsv").read_text("utf-8")
 
 
 def _ipa_set(phoneme_class: PhonemeClass) -> frozenset[str]:

@@ -261,16 +261,16 @@ def tokenize(transcript: str, stats: ParseStats | None = None) -> list[Syllable]
 # Rendering: phonemes back to the written form
 # ---------------------------------------------------------------------------
 
-_INITIAL_FORMS = {
-    "b": "b", "t": "t", "tʰ": "th", "f": "ph", "d": "đ", "z": "gi", "j": "d",
-    "s": "x", "ʂ": "s", "c͡ɕ": "ch", "t͡ʂ": "tr", "ɲ": "nh", "l": "l", "r": "r",
-    "x": "kh", "v": "v", "m": "m", "n": "n", "h": "h",
-}
-_VOWEL_FORMS = {
-    "a": "a", "ă": "ă", "ə̆": "â", "ɛ": "e", "e": "ê", "i": "i", "ɔ": "o",
-    "ɔː": "oo", "o": "ô", "ə": "ơ", "u": "u", "ɯ": "ư",
-}
-_FINAL_FORMS = {"m": "m", "n": "n", "ŋ": "ng", "ɲ": "nh", "p": "p", "t": "t", "k": "c", "c": "ch"}
+def _single_forms(phoneme_class: PhonemeClass) -> dict[str, str]:
+    """{ipa: form} for the IPAs written one way only; the context functions below resolve the rest."""
+    rules = inventory(phoneme_class)
+    ipas = [rule.ipa for rule in rules]
+    return {rule.ipa: rule.written_form for rule in rules if ipas.count(rule.ipa) == 1}
+
+
+_INITIAL_FORMS = _single_forms(PhonemeClass.INITIAL)
+_VOWEL_FORMS = _single_forms(PhonemeClass.VOWEL)
+_FINAL_FORMS = _single_forms(PhonemeClass.FINAL)
 
 #: vowels that select "k"/"gh"/"ngh" spellings for a directly preceding initial
 _FRONT_VOWELS = frozenset({"i", "e", "ɛ", "ie"})

@@ -114,23 +114,18 @@ class Vocabulary:
 
 
 def build_vocab(lexicon: list[str] | None = None) -> Vocabulary:
-    """Token spaces from the closed rhyme table plus rhymes observed in a lexicon.
+    """Token spaces from the rule table plus rhymes observed in a lexicon.
 
-    With the bundled lexicon the observed rhymes are exactly the closed table;
-    the union keeps the contract explicit.  Raises ParseFailure on any
-    unparseable lexicon word.
+    The initials are the table's initials and ∅; a parsed word can hold no
+    other.  With the bundled lexicon the observed rhymes are exactly the
+    closed rhyme table; the union keeps the contract explicit.  Raises
+    ParseFailure on any unparseable lexicon word.
     """
     rhymes = {rhyme_token(g, v, f) for g, v, f in RHYMES}
-    initials = {ABSENT}
-    if lexicon:
-        for word in lexicon:
-            s = parse_syllable(word).syllable
-            rhymes.add(rhyme_token(*s.rhyme))
-            if s.initial:
-                initials.add(s.initial)
-    initials |= INITIAL_IPAS
+    for word in lexicon or ():
+        rhymes.add(rhyme_token(*parse_syllable(word).syllable.rhyme))
     return Vocabulary(
-        initial_tokens=CONTROL_TOKENS + tuple(sorted(initials)),
+        initial_tokens=CONTROL_TOKENS + tuple(sorted(INITIAL_IPAS | {ABSENT})),
         rhyme_tokens=CONTROL_TOKENS + tuple(sorted(rhymes)),
         tone_tokens=CONTROL_TOKENS + tuple(sorted(t.label for t in Tone)),
     )

@@ -1,8 +1,12 @@
+import io
 import json
+import sys
+from types import SimpleNamespace
 
 import pytest
 
 from vietphon.cli import FLAG_DEFAULTS, build_parser, main
+from vietphon.head import HeadConfig, init_params, save_params
 
 
 def run(capsys, *argv):
@@ -228,3 +232,73 @@ class TestDefaults:
         src.write_text("giếng nước\nba mẹ\n", "utf-8")
         outputs = {run(capsys, "tokenize", str(src))[1] for _ in range(3)}
         assert len(outputs) == 1
+
+
+@pytest.fixture
+def files(tmp_path):
+    """Inputs for the error cases: good files, bad files and an unwritable path."""
+
+    def write(name, data):
+        path = tmp_path / name
+        path.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        return str(path)
+
+    params = tmp_path / "params.txt"
+    save_params(init_params(HeadConfig(dim=4, v_init=8, v_rhyme=10)), params)
+    lines = params.read_text("utf-8").splitlines(keepends=True)
+    return SimpleNamespace(
+        out=str(tmp_path / "missing" / "out.txt"),
+        kept=str(tmp_path / "kept.jsonl"),
+        text=write("in.txt", "ba\n"),
+        tokens=write("tokens.txt", "b|∅|a|∅|Flat\n"),
+        manifest=write("m.jsonl", '{"id": "a", "transcript": "ba okay"}\n'),
+        bad=write("bad.txt", b"ba\n\xff\n"),
+        bad_manifest=write("bad.jsonl", b'{"id": "a", "transcript": "ba"}\n\xff\n'),
+        bad_pairs=write("bad_pairs.jsonl", b'{"ref": "ba", "hyp": "ba"}\n\xff\n'),
+        ref_int=write("ref_int.jsonl", '{"ref": 1, "hyp": "ba"}\n'),
+        hyp_null=write("hyp_null.jsonl", '{"ref": "ba", "hyp": null}\n'),
+        header_only=write("header.txt", "# vietphon head parameters v1\n"),
+        no_array=write("partial.txt", "".join(l for l in lines if not l.startswith("rhyme.w_up\t"))),
+    )
+
+
+#: case -> files -> (argv, strings the error line names, stdin bytes or None)
+ERROR_CASES = {
+    "tokenize -o": lambda f: (["tokenize", f.text, "-o", f.out], [f.out], None),
+    "detokenize -o": lambda f: (["detokenize", f.tokens, "-o", f.out], [f.out], None),
+    "filter -o": lambda f: (["filter", f.manifest, "-o", f.out], [f.out], None),
+    "filter --discard-file": lambda f: (
+        ["filter", f.manifest, "-o", f.kept, "--discard-file", f.out], [f.out], None),
+    "vocab -o": lambda f: (["vocab", "-o", f.out], [f.out], None),
+    "demo-head --dump-params": lambda f: (
+        ["demo-head", "--configs", "0", "--dump-params", f.out], [f.out], None),
+    "tokenize utf-8": lambda f: (["tokenize", f.bad], [f"{f.bad}:2"], None),
+    "tokenize stdin utf-8": lambda f: (["tokenize", "-"], ["<stdin>:2"], b"ba\n\xff\n"),
+    "detokenize utf-8": lambda f: (["detokenize", f.bad], [f"{f.bad}:2"], None),
+    "roundtrip utf-8": lambda f: (["roundtrip", f.bad], [f"{f.bad}:2"], None),
+    "vocab --lexicon utf-8": lambda f: (["vocab", "--lexicon", f.bad], [f"{f.bad}:2"], None),
+    "filter utf-8": lambda f: (["filter", f.bad_manifest], [f"{f.bad_manifest}:2"], None),
+    "score --pairs utf-8": lambda f: (["score", "--pairs", f.bad_pairs], [f"{f.bad_pairs}:2"], None),
+    "score --ref utf-8": lambda f: (["score", "--ref", f.bad, "--hyp", f.text], [f"{f.bad}:2"], None),
+    "score ref not a string": lambda f: (["score", "--pairs", f.ref_int], [f"{f.ref_int}:1"], None),
+    "score hyp null": lambda f: (["score", "--pairs", f.hyp_null], [f"{f.hyp_null}:1"], None),
+    "demo-head header field missing": lambda f: (
+        ["demo-head", "--load-params", f.header_only], [f.header_only, "dim"], None),
+    "demo-head array missing": lambda f: (
+        ["demo-head", "--load-params", f.no_array], [f.no_array, "rhyme.w_up"], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_bad_input_is_one_error_line(case, files, capsys, monkeypatch):
+    argv, names, stdin = ERROR_CASES[case](files)
+    if stdin is not None:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8"))
+    code = main(argv)  # an exception escaping main fails the test here
+    err = capsys.readouterr().err
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    for name in names:
+        assert name in lines[0]
+    assert not sys.stdout.closed

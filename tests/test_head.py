@@ -295,6 +295,22 @@ class TestParamsIo:
         with pytest.raises(ValueError):
             load_params(path)
 
+    def test_missing_array_is_named(self, params, tmp_path):
+        path = tmp_path / "params.txt"
+        save_params(params, path)
+        lines = path.read_text("utf-8").splitlines(keepends=True)
+        path.write_text("".join(l for l in lines if not l.startswith("rhyme.w_up\t")), "utf-8")
+        with pytest.raises(ValueError, match=r"rhyme\.w_up"):
+            load_params(path)
+
+    def test_missing_header_field_is_named(self, params, tmp_path):
+        path = tmp_path / "params.txt"
+        save_params(params, path)
+        text = path.read_text("utf-8")
+        path.write_text(text.replace(" v_rhyme=9", "", 1), "utf-8")
+        with pytest.raises(ValueError, match="v_rhyme"):
+            load_params(path)
+
     def test_tone_space_enforced(self):
         with pytest.raises(ShapeMismatch):
             init_params(HeadConfig(dim=4, v_init=5, v_rhyme=5, v_tone=5))

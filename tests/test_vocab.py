@@ -46,6 +46,16 @@ class TestSpaces:
         content = {t for t in vocab.rhyme_tokens if t not in CONTROL_TOKENS}
         assert content == closed
 
+    def test_custom_lexicon_adds_only_its_rhymes(self):
+        base = build_vocab(None)
+        custom = build_vocab(["ưm", "ba"])
+        assert set(custom.rhyme_tokens) == set(base.rhyme_tokens) | {"∅|ɯ|m"}
+        assert "∅|ɯ|m" not in base.rhyme_tokens
+        assert custom.initial_tokens == base.initial_tokens
+
+    def test_bundled_lexicon_adds_nothing(self, vocab):
+        assert vocab == build_vocab(None)
+
 
 class TestCoding:
     def test_encode_ba(self, vocab):
