@@ -38,9 +38,14 @@ def _os_errors(path: str):
         raise DataError(f"{path}: {exc.strerror or exc}") from None
 
 
+def _source(path: str) -> str:
+    """The name an error gives an input path: "<stdin>" for "-"."""
+    return "<stdin>" if path == "-" else path
+
+
 def _read_lines(path: str):
     """Lines of a UTF-8 file, or of stdin for "-"; bad bytes raise DataError with file:line."""
-    source = "<stdin>" if path == "-" else path
+    source = _source(path)
     with _os_errors(source):
         if path == "-":
             data = sys.stdin.buffer.read()
@@ -68,21 +73,22 @@ def _check_composed(line: str, lineno: int, source: str, nfd_ok: bool):
 
 
 def _cmd_tokenize(args) -> int:
+    source = _source(args.input)
     with _open_out(args.output) as out:
         for lineno, line in enumerate(_read_lines(args.input), start=1):
-            _check_composed(line, lineno, args.input, args.nfd_ok)
+            _check_composed(line, lineno, source, args.nfd_ok)
             words = []
             for token in line.split():
                 words.extend(corpus.clean_words(token))
             try:
                 syllables = tokenizer.tokenize(" ".join(words))
             except tokenizer.TokenizeError as exc:
-                raise DataError(f"{args.input}:{lineno}: {exc}") from None
+                raise DataError(f"{source}:{lineno}: {exc}") from None
             if args.strict:
                 for index, syllable in enumerate(syllables):
                     problems = phonology.validate(syllable, strict=True)
                     if problems:
-                        raise DataError(f"{args.input}:{lineno}: word {index}: {'; '.join(problems)}")
+                        raise DataError(f"{source}:{lineno}: word {index}: {'; '.join(problems)}")
             print(tokenizer.format_phonemes(syllables), file=out)
     return 0
 
@@ -93,7 +99,7 @@ def _cmd_detokenize(args) -> int:
             try:
                 print(tokenizer.detokenize(tokenizer.parse_phonemes(line)), file=out)
             except (ValueError, KeyError) as exc:
-                raise DataError(f"{args.input}:{lineno}: {exc}") from None
+                raise DataError(f"{_source(args.input)}:{lineno}: {exc}") from None
     return 0
 
 
@@ -125,9 +131,11 @@ def _cmd_vocab(args) -> int:
     except tokenizer.TokenizeError as exc:
         raise DataError(str(exc)) from None
     if args.output:
-        with _os_errors(args.output):
-            vocab.save_vocab(built, args.output)
-    print(json.dumps(vocab.vocab_report(built), ensure_ascii=False, indent=2))
+        with _open_out(args.output) as out:
+            vocab.write_vocab(built, out)
+    # with -o - stdout holds the table alone
+    report_to = sys.stderr if args.output == "-" else sys.stdout
+    print(json.dumps(vocab.vocab_report(built), ensure_ascii=False, indent=2), file=report_to)
     return 0
 
 
@@ -149,12 +157,13 @@ def _cmd_score(args) -> int:
                     raise TypeError("ref and hyp must be strings")
                 pairs.append(pair)
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise DataError(f"{args.pairs}:{lineno}: bad pair line ({exc})") from None
+                raise DataError(f"{_source(args.pairs)}:{lineno}: bad pair line ({exc})") from None
     else:
         refs = _read_lines(args.ref)
         hyps = _read_lines(args.hyp)
         if len(refs) != len(hyps):
-            raise DataError(f"{args.ref}: {len(refs)} lines vs {args.hyp}: {len(hyps)} lines")
+            raise DataError(f"{_source(args.ref)}: {len(refs)} lines vs "
+                            f"{_source(args.hyp)}: {len(hyps)} lines")
         pairs = list(zip(refs, hyps))
     try:
         report = metrics.score_pairs(
@@ -173,7 +182,7 @@ def _cmd_filter(args) -> int:
     try:
         records = corpus.load_manifest(_read_lines(args.manifest))
     except corpus.MalformedManifestLine as exc:
-        raise DataError(f"{args.manifest}: {exc}") from None
+        raise DataError(f"{_source(args.manifest)}: {exc}") from None
     kept, discarded, stats = corpus.filter_manifest(records)
     with contextlib.ExitStack() as stack:
         outputs = [(stack.enter_context(_open_out(path)), chosen)
@@ -240,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vocab", help="build the token spaces, report counts")
     p.add_argument("--lexicon", default=None, help="word list (default: bundled lexicon)")
-    p.add_argument("-o", "--output", default=None, help="write the token table here")
+    p.add_argument("-o", "--output", default=None,
+                   help='write the token table here ("-": stdout, report to stderr)')
     p.set_defaults(func=_cmd_vocab)
 
     p = sub.add_parser("rules", help="dump the grapheme rule table for audit")

@@ -4,6 +4,8 @@ Manifests are JSONL with fields {id, transcript, split}; unknown fields
 (audio paths etc.) pass through untouched.  A word counts as Vietnamese when
 it parses as a syllable AND renders back to itself — the round-trip guard
 rejects pseudo-parses and spelling variants outside the canonical orthography.
+A closed-set word (tokenizer.closed_syllables) is a table hit, accepted
+without a parse; every other word takes the rule path: parse, render, compare.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import json
 import unicodedata
 from dataclasses import dataclass, field
 
-from .tokenizer import TokenizeError, parse_syllable, render_syllable
+from .tokenizer import TokenizeError, closed_syllables, parse_syllable, render_syllable
 
 _STRIP_CHARS = "".join(
     (
@@ -51,7 +53,13 @@ def clean_words(raw: str) -> list[str]:
 
 
 def is_vietnamese_word(word: str) -> bool:
-    """True iff the word parses and renders back to itself (round-trip guard)."""
+    """True iff the word parses and renders back to itself (round-trip guard).
+
+    A closed-set word is a table hit and True at once, since every key of
+    closed_syllables() round-trips; every other word takes the rule path.
+    """
+    if word in closed_syllables():
+        return True
     try:
         result = parse_syllable(word)
     except TokenizeError:

@@ -129,7 +129,7 @@ STOP_FINALS = frozenset({"p", "t", "k", "c"})
 STOP_TONES = frozenset({Tone.MID_RAISING, Tone.MID_GLOTTALIZED_RAISING})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Syllable:
     """Five-field phonemic decomposition of one Vietnamese word.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .phonology import INITIAL_IPAS, RHYMES, Syllable, Tone
-from .tokenizer import ABSENT, parse_syllable
+from .tokenizer import ABSENT, closed_syllables, parse_syllable
 
 BOS = "<bos>"
 EOS = "<eos>"
@@ -118,12 +118,15 @@ def build_vocab(lexicon: list[str] | None = None) -> Vocabulary:
 
     The initials are the table's initials and ∅; a parsed word can hold no
     other.  With the bundled lexicon the observed rhymes are exactly the
-    closed rhyme table; the union keeps the contract explicit.  Raises
-    ParseFailure on any unparseable lexicon word.
+    closed rhyme table; the union keeps the contract explicit.  A closed-set
+    word is a table hit whose rhyme is in RHYMES already; every other word
+    takes the rule parser, which raises ParseFailure on an unparseable word.
     """
     rhymes = {rhyme_token(g, v, f) for g, v, f in RHYMES}
+    closed = closed_syllables()
     for word in lexicon or ():
-        rhymes.add(rhyme_token(*parse_syllable(word).syllable.rhyme))
+        if word not in closed:
+            rhymes.add(rhyme_token(*parse_syllable(word).syllable.rhyme))
     return Vocabulary(
         initial_tokens=CONTROL_TOKENS + tuple(sorted(INITIAL_IPAS | {ABSENT})),
         rhyme_tokens=CONTROL_TOKENS + tuple(sorted(rhymes)),
@@ -160,16 +163,21 @@ def vocab_report(vocab: Vocabulary) -> dict:
     }
 
 
+def write_vocab(vocab: Vocabulary, fh) -> None:
+    """Plain-text table: space, id, token, one line each, to an open text file."""
+    for space, tokens in (
+        ("initial", vocab.initial_tokens),
+        ("rhyme", vocab.rhyme_tokens),
+        ("tone", vocab.tone_tokens),
+    ):
+        for token_id, token in enumerate(tokens):
+            fh.write(f"{space}\t{token_id}\t{token}\n")
+
+
 def save_vocab(vocab: Vocabulary, path) -> None:
-    """Plain-text table: space, id, token — bit-exact across platforms."""
+    """write_vocab to a file, UTF-8 with LF line ends: bit-exact across platforms."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for space, tokens in (
-            ("initial", vocab.initial_tokens),
-            ("rhyme", vocab.rhyme_tokens),
-            ("tone", vocab.tone_tokens),
-        ):
-            for token_id, token in enumerate(tokens):
-                fh.write(f"{space}\t{token_id}\t{token}\n")
+        write_vocab(vocab, fh)
 
 
 def load_vocab(path) -> Vocabulary:

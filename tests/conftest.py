@@ -1,8 +1,13 @@
+import itertools
 import pathlib
+import unicodedata
 
 import pytest
+from hypothesis import strategies as st
 
 from vietphon.lexicon import load_lexicon
+from vietphon.phonology import FINAL_IPAS, GLIDE_IPAS, INITIAL_IPAS, TONE_BY_MARK, VOWEL_IPAS, Syllable, Tone
+from vietphon.tokenizer import render_syllable
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -21,3 +26,31 @@ def golden_rows():
         fields = [None if f == "-" else f for f in line.split("\t")]
         rows.append(fields)
     return rows
+
+
+@pytest.fixture(scope="session")
+def component_forms():
+    """The written forms of all 45,540 component tuples, lax forms included."""
+    return sorted({
+        render_syllable(Syllable(vowel=v, initial=i, glide=g, final=f, tone=t))
+        for i, g, v, f, t in itertools.product(
+            (None, *sorted(INITIAL_IPAS)), (None, *sorted(GLIDE_IPAS)), sorted(VOWEL_IPAS),
+            (None, *sorted(FINAL_IPAS)), Tone)
+    })
+
+
+@pytest.fixture(scope="session")
+def candidate_words(component_forms):
+    """Strategy for words on both sides of the closed set.
+
+    The component forms, their NFD and uppercase variants, and random letter
+    strings that may carry stray tone marks.
+    """
+    letters = "abcdeghiklmnopqrstuvxyăâđêôơưfjwzBQ3" + "".join(TONE_BY_MARK)
+    rendered = st.sampled_from(component_forms)
+    return st.one_of(
+        rendered,
+        rendered.map(lambda w: unicodedata.normalize("NFD", w)),
+        rendered.map(str.upper),
+        st.text(alphabet=letters, min_size=1, max_size=7),
+    )

@@ -7,6 +7,7 @@ import pytest
 
 from vietphon.cli import FLAG_DEFAULTS, build_parser, main
 from vietphon.head import HeadConfig, init_params, save_params
+from vietphon.vocab import load_vocab
 
 
 def run(capsys, *argv):
@@ -105,6 +106,19 @@ class TestVocab:
         assert report["computed"]["tones"] == 6
         assert report["design"]["total"] == 163
         assert table.exists()
+
+    def test_table_to_stdout(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        table = tmp_path / "vocab.tsv"
+        run(capsys, "vocab", "-o", str(table))
+        code, out, err = run(capsys, "vocab", "-o", "-")
+        assert code == 0
+        assert not (tmp_path / "-").exists()
+        assert out == table.read_text("utf-8")
+        piped = tmp_path / "piped.tsv"
+        piped.write_text(out, "utf-8")
+        assert load_vocab(piped) == load_vocab(table)
+        assert json.loads(err)["design"]["total"] == 163
 
 
 class TestRules:
@@ -274,6 +288,7 @@ ERROR_CASES = {
         ["demo-head", "--configs", "0", "--dump-params", f.out], [f.out], None),
     "tokenize utf-8": lambda f: (["tokenize", f.bad], [f"{f.bad}:2"], None),
     "tokenize stdin utf-8": lambda f: (["tokenize", "-"], ["<stdin>:2"], b"ba\n\xff\n"),
+    "tokenize stdin parse": lambda f: (["tokenize", "-"], ["<stdin>:1"], b"qwrtz\n"),
     "detokenize utf-8": lambda f: (["detokenize", f.bad], [f"{f.bad}:2"], None),
     "roundtrip utf-8": lambda f: (["roundtrip", f.bad], [f"{f.bad}:2"], None),
     "vocab --lexicon utf-8": lambda f: (["vocab", "--lexicon", f.bad], [f"{f.bad}:2"], None),

@@ -1,7 +1,11 @@
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vietphon import corpus
 from vietphon.corpus import (
     MalformedManifestLine,
     clean_words,
@@ -52,6 +56,19 @@ class TestIsVietnamese:
 
     def test_whole_lexicon(self, lexicon):
         assert all(is_vietnamese_word(w) for w in lexicon)
+
+    def test_every_component_form_gets_the_rule_path_verdict(self, component_forms):
+        verdicts = [is_vietnamese_word(w) for w in component_forms]
+        with mock.patch.object(corpus, "closed_syllables", dict):
+            assert [is_vietnamese_word(w) for w in component_forms] == verdicts
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_table_hit_gives_the_rule_path_verdict(self, candidate_words, data):
+        word = data.draw(candidate_words)
+        verdict = is_vietnamese_word(word)
+        with mock.patch.object(corpus, "closed_syllables", dict):
+            assert is_vietnamese_word(word) == verdict
 
 
 class TestManifest:

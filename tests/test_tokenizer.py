@@ -1,9 +1,11 @@
 import unicodedata
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vietphon import tokenizer
 from vietphon.lexicon import iter_syllables
 from vietphon.phonology import PhonemeClass, Syllable, Tone, validate
 from vietphon.tokenizer import (
@@ -12,6 +14,8 @@ from vietphon.tokenizer import (
     ParseFailure,
     ParseStats,
     RenderFailure,
+    TokenizeError,
+    closed_syllables,
     detokenize,
     format_phonemes,
     format_syllable,
@@ -244,6 +248,44 @@ class TestRoundTrip:
         # strict mode on: the bundled lexicon obeys the stop-final tone rule
         for word in lexicon[::53]:
             assert validate(parse_syllable(word).syllable, strict=True) == []
+
+
+class TestClosedSyllables:
+    def test_keys_are_the_shipped_lexicon(self, lexicon):
+        assert sorted(closed_syllables()) == lexicon
+
+    def test_no_two_syllables_share_a_written_form(self):
+        assert len(closed_syllables()) == sum(1 for _ in iter_syllables())
+
+    def test_every_entry_is_its_rule_parse(self):
+        for word, syllable in closed_syllables().items():
+            assert parse_syllable(word).syllable == syllable
+
+    def test_stats_keep_counting_rule_comparisons(self):
+        stats = ParseStats()
+        tokenize("ba mẹ", stats)
+        assert stats.comparisons > 0
+
+    def test_every_component_form_tokenizes_as_by_rule(self, component_forms):
+        with_table = [_tokenize_outcome(w) for w in component_forms]
+        with mock.patch.object(tokenizer, "closed_syllables", dict):
+            assert [_tokenize_outcome(w) for w in component_forms] == with_table
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_tokenize_matches_the_rule_path(self, candidate_words, data):
+        text = " ".join(data.draw(st.lists(candidate_words, max_size=5)))
+        with_table = _tokenize_outcome(text)
+        with mock.patch.object(tokenizer, "closed_syllables", dict):
+            assert _tokenize_outcome(text) == with_table
+
+
+def _tokenize_outcome(text):
+    """tokenize's Syllables, or its error's type, word index and message."""
+    try:
+        return tokenize(text)
+    except TokenizeError as exc:
+        return type(exc), getattr(exc, "index", None), str(exc)
 
 
 class TestLinearCost:

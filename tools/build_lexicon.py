@@ -10,23 +10,13 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from vietphon.lexicon import iter_syllables
-from vietphon.tokenizer import parse_syllable, render_syllable
+from vietphon.tokenizer import closed_syllables
 
 
 def main():
-    words = []
-    seen = {}
-    for syllable in iter_syllables():
-        word = render_syllable(syllable)
-        if word in seen:
-            raise SystemExit(f"collision: {word!r} renders from {seen[word]} and {syllable}")
-        seen[word] = syllable
-        back = parse_syllable(word).syllable
-        if back != syllable:
-            raise SystemExit(f"not invertible: {syllable} -> {word!r} -> {back}")
-        words.append(word)
-    words.sort()
+    # tests/test_tokenizer.py::TestClosedSyllables asserts that no two
+    # syllables share a written form and that every word parses back
+    words = sorted(closed_syllables())
     out = pathlib.Path(__file__).resolve().parents[1] / "src" / "vietphon" / "data" / "lexicon.txt"
     out.write_text("# vietphon bundled lexicon, version 1\n" + "\n".join(words) + "\n", "utf-8")
     print(f"wrote {len(words)} syllables to {out}")
