@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 data error (reported on stderr with context),
 2 usage error.  All I/O is UTF-8; decomposed input is accepted unless
---no-nfd-ok is given, output is always canonically composed.
+--no-nfd-ok is given, output is always canonically composed.  Input lines
+end at "\n" alone (one "\r" before it is dropped), so a JSON string may hold
+any other line separator raw.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 import unicodedata
 
@@ -44,7 +47,10 @@ def _source(path: str) -> str:
 
 
 def _read_lines(path: str):
-    """Lines of a UTF-8 file, or of stdin for "-"; bad bytes raise DataError with file:line."""
+    """Lines of a UTF-8 file, or of stdin for "-"; bad bytes raise DataError with file:line.
+
+    A line ends at "\n" alone, less one "\r" before it, so CRLF reads as LF.
+    """
     source = _source(path)
     with _os_errors(source):
         if path == "-":
@@ -53,18 +59,42 @@ def _read_lines(path: str):
             with open(path, "rb") as fh:
                 data = fh.read()
     try:
-        return data.decode("utf-8").splitlines()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise DataError(f"{source}:{lineno}: invalid UTF-8 ({exc.reason})") from None
+    lines = text.split("\n")
+    if not lines[-1]:
+        del lines[-1]  # the text is empty or ends with "\n"
+    return [line.removesuffix("\r") for line in lines]
 
 
+@contextlib.contextmanager
 def _open_out(path: str | None):
-    """Context for output: sys.stdout, left open, for None or "-"; else a file closed on exit."""
+    """Context for output: sys.stdout, left open, for None or "-"; else a file closed on exit.
+
+    An OSError while the file is opened, written or closed is one DataError
+    naming it; an error on stdout goes on to main.
+    """
     if path in (None, "-"):
-        return contextlib.nullcontext(sys.stdout)
-    with _os_errors(path):
-        return open(path, "w", encoding="utf-8", newline="\n")
+        yield sys.stdout
+    else:
+        with _os_errors(path), open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+
+
+def _write_records(outputs) -> None:
+    """Write each (path, records) output; all are open before any is written.
+
+    The last output is written first, inside every other's context, so an
+    error names its own file.
+    """
+    if outputs:
+        (path, records), *rest = outputs
+        with _open_out(path) as fh:
+            _write_records(rest)
+            for record in records:
+                print(record.to_json(), file=fh)
 
 
 def _check_composed(line: str, lineno: int, source: str, nfd_ok: bool):
@@ -123,13 +153,13 @@ def _cmd_roundtrip(args) -> int:
 
 
 def _cmd_vocab(args) -> int:
-    words = lexicon.load_lexicon() if args.lexicon is None else [
-        w for line in _read_lines(args.lexicon) for w in line.split()
-    ]
+    lines = None if args.lexicon is None else _read_lines(args.lexicon)
+    words = lexicon.load_lexicon() if lines is None else [w for line in lines for w in line.split()]
     try:
         built = vocab.build_vocab(words)
-    except tokenizer.TokenizeError as exc:
-        raise DataError(str(exc)) from None
+    except tokenizer.TokenizeError as exc:  # the bundled lexicon parses; this is a --lexicon word
+        lineno = next(n for n, line in enumerate(lines, start=1) if exc.word in line.split())
+        raise DataError(f"{_source(args.lexicon)}:{lineno}: {exc}") from None
     if args.output:
         with _open_out(args.output) as out:
             vocab.write_vocab(built, out)
@@ -145,8 +175,8 @@ def _cmd_rules(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    pairs, places = [], []  # places: the file:line of each pair's ref and hyp
     if args.pairs:
-        pairs = []
         for lineno, line in enumerate(_read_lines(args.pairs), start=1):
             if not line.strip():
                 continue
@@ -155,9 +185,10 @@ def _cmd_score(args) -> int:
                 pair = (payload["ref"], payload["hyp"])
                 if not all(isinstance(text, str) for text in pair):
                     raise TypeError("ref and hyp must be strings")
-                pairs.append(pair)
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise DataError(f"{_source(args.pairs)}:{lineno}: bad pair line ({exc})") from None
+            pairs.append(pair)
+            places.append((f"{_source(args.pairs)}:{lineno}",) * 2)
     else:
         refs = _read_lines(args.ref)
         hyps = _read_lines(args.hyp)
@@ -165,6 +196,7 @@ def _cmd_score(args) -> int:
             raise DataError(f"{_source(args.ref)}: {len(refs)} lines vs "
                             f"{_source(args.hyp)}: {len(hyps)} lines")
         pairs = list(zip(refs, hyps))
+        places = [(f"{_source(args.ref)}:{n}", f"{_source(args.hyp)}:{n}") for n in range(1, len(pairs) + 1)]
     try:
         report = metrics.score_pairs(
             pairs,
@@ -173,7 +205,10 @@ def _cmd_score(args) -> int:
             with_per=not args.no_per,
         )
     except tokenizer.TokenizeError as exc:
-        raise DataError(f"PER tokenization failed: {exc} (use --no-per to skip)") from None
+        # the first text holding the word failed first: ref before hyp, pair by pair
+        place = next(where for pair, pair_places in zip(pairs, places)
+                     for text, where in zip(pair, pair_places) if exc.word in text.split())
+        raise DataError(f"{place}: PER tokenization failed: {exc} (use --no-per to skip)") from None
     print(json.dumps(report, ensure_ascii=False, indent=2))
     return 0
 
@@ -184,12 +219,9 @@ def _cmd_filter(args) -> int:
     except corpus.MalformedManifestLine as exc:
         raise DataError(f"{_source(args.manifest)}: {exc}") from None
     kept, discarded, stats = corpus.filter_manifest(records)
-    with contextlib.ExitStack() as stack:
-        outputs = [(stack.enter_context(_open_out(path)), chosen)
-                   for path, chosen in ((args.output, kept), (args.discard_file, discarded)) if path]
-        for fh, chosen in outputs:
-            for record in chosen:
-                print(record.to_json(), file=fh)
+    # kept is listed last so that it is written first: on one shared stdout it leads
+    _write_records([(path, chosen) for path, chosen in ((args.discard_file, discarded), (args.output, kept))
+                    if path])
     payload = stats.as_dict()
     if args.expected_stats:
         payload["reference"] = {
@@ -202,24 +234,24 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_demo_head(args) -> int:
+    # with --dump-params - stdout holds the parameter file alone
+    report_to = sys.stderr if args.dump_params == "-" else sys.stdout
     if args.dump_params:
         params = head.init_params(head.HeadConfig(dim=4, v_init=8, v_rhyme=10), seed=args.seed)
-        with _os_errors(args.dump_params):
-            head.save_params(params, args.dump_params)
+        with _open_out(args.dump_params) as out:
+            head.write_params(params, out)
     if args.load_params:
         try:
             params = head.load_params(args.load_params)
-        except (OSError, ValueError) as exc:
+            report = head.grad_check(params, [[0, 0, 0]], {h: [0] for h in head.HEADS}, residual=args.residual)
+        except (OSError, ValueError, IndexError) as exc:  # IndexError: a space with no id 0
             raise DataError(f"{args.load_params}: {exc}") from None
-        rng_ids = [[0, 0, 0]]
-        targets = {h: [0] for h in head.HEADS}
-        report = head.grad_check(params, rng_ids, targets, residual=args.residual)
-        print(json.dumps(report.as_dict(), indent=2))
+        print(json.dumps(report.as_dict(), indent=2), file=report_to)
         return 0 if report.passed else 1
     summary = head.run_grad_suite(
         n_configs=args.configs, base_seed=args.seed, residual=args.residual
     )
-    print(json.dumps(summary, indent=2))
+    print(json.dumps(summary, indent=2), file=report_to)
     return 0 if summary["passed"] else 1
 
 
@@ -280,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--residual", choices=("normalized", "input"),
                    default=FLAG_DEFAULTS["residual"])
-    p.add_argument("--dump-params", default=None, help="write a seeded toy parameter file")
+    p.add_argument("--dump-params", default=None,
+                   help='write a seeded toy parameter file ("-": stdout, report to stderr)')
     p.add_argument("--load-params", default=None, help="gradient-check a parameter file")
     p.set_defaults(func=_cmd_demo_head)
 
@@ -293,9 +326,16 @@ def main(argv=None) -> int:
     if args.command == "score" and not args.pairs and not (args.ref and args.hyp):
         parser.error("score requires --pairs or both --ref and --hyp")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a failed write to stdout is reported here, not at exit
+        return code
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # _os_errors names every file; this one is stdout
+        # the interpreter flushes stdout again at exit: give it nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: <stdout>: {exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

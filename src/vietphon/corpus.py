@@ -99,8 +99,8 @@ class TranscriptRecord:
 def parse_manifest_line(line: str, line_number: int) -> TranscriptRecord:
     try:
         payload = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise MalformedManifestLine(line_number, f"invalid JSON ({exc.msg})") from None
+    except (ValueError, RecursionError) as exc:  # also an over-long integer or too deep nesting
+        raise MalformedManifestLine(line_number, f"invalid JSON ({getattr(exc, 'msg', exc)})") from None
     if not isinstance(payload, dict):
         raise MalformedManifestLine(line_number, "expected a JSON object")
     for key in ("id", "transcript"):

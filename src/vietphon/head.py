@@ -437,15 +437,20 @@ def run_grad_suite(n_configs: int = 100, base_seed: int = 0, step: float = 1e-5,
 # Parameter dump/load: flat text, name / shape / row-major values
 # ---------------------------------------------------------------------------
 
+def write_params(params: HeadParams, fh) -> None:
+    """The parameter file text, header then one array a line, to an open text file."""
+    cfg = params.config
+    fh.write(f"# vietphon head parameters v1 dim={cfg.dim} "
+             f"v_init={cfg.v_init} v_rhyme={cfg.v_rhyme} v_tone={cfg.v_tone}\n")
+    for name, array in params.named_arrays():
+        shape = ",".join(str(s) for s in array.shape)
+        values = " ".join(repr(float(v)) for v in array.reshape(-1))
+        fh.write(f"{name}\t{shape}\t{values}\n")
+
+
 def save_params(params: HeadParams, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        cfg = params.config
-        fh.write(f"# vietphon head parameters v1 dim={cfg.dim} "
-                 f"v_init={cfg.v_init} v_rhyme={cfg.v_rhyme} v_tone={cfg.v_tone}\n")
-        for name, array in params.named_arrays():
-            shape = ",".join(str(s) for s in array.shape)
-            values = " ".join(repr(float(v)) for v in array.reshape(-1))
-            fh.write(f"{name}\t{shape}\t{values}\n")
+        write_params(params, fh)
 
 
 def load_params(path) -> HeadParams:

@@ -64,7 +64,6 @@ class NormalizedWord:
 @dataclass(frozen=True)
 class ParseResult:
     syllable: Syllable
-    consumed: str  # the original word
     residue: str  # empty on success
     graphemes: tuple[str, str, str, str] = ("", "", "", "")  # matched written forms
 
@@ -79,13 +78,6 @@ class ParseStats:
 
     comparisons: int = 0
     per_word_max: int = 0
-
-    def _start_word(self):
-        self._word_start = self.comparisons
-
-    def _end_word(self):
-        used = self.comparisons - getattr(self, "_word_start", 0)
-        self.per_word_max = max(self.per_word_max, used)
 
 
 #: documented upper bound on rule comparisons per word (total rule-table size)
@@ -137,7 +129,20 @@ _CONTEXTS = {
 }
 
 
-def _match(word: str, rules, stats: ParseStats | None):
+def _match_class(word: str, phoneme_class: PhonemeClass, stats: ParseStats | None):
+    """First matching rule of one class: (rule, remainder), or (None, word).
+
+    A final must be the whole word: one lookup, not a prefix scan.
+    """
+    if phoneme_class is PhonemeClass.FINAL:
+        if stats is not None:
+            stats.comparisons += 1
+        rule = _FINALS.get(word)
+        return (rule, "") if rule is not None else (None, word)
+    if phoneme_class is PhonemeClass.GLIDE:
+        rules = _GLIDES
+    else:
+        rules = (_INITIALS if phoneme_class is PhonemeClass.INITIAL else _VOWELS).get(word[:1], ())
     for rule in rules:
         if stats is not None:
             stats.comparisons += 1
@@ -157,17 +162,8 @@ def match_component(word: str, phoneme_class: PhonemeClass,
     indexed by first letter, so the scan is bounded by the largest bucket
     regardless of input size.
     """
-    if phoneme_class is PhonemeClass.FINAL:
-        if stats is not None:
-            stats.comparisons += 1
-        rule = _FINALS.get(word)
-        return (rule.ipa, "") if rule is not None else (None, word)
-    if phoneme_class is PhonemeClass.GLIDE:
-        rule, rest = _match(word, _GLIDES, stats)
-    else:
-        buckets = _INITIALS if phoneme_class is PhonemeClass.INITIAL else _VOWELS
-        rule, rest = _match(word, buckets.get(word[:1], ()), stats)
-    return (rule.ipa, rest) if rule is not None else (None, word)
+    rule, rest = _match_class(word, phoneme_class, stats)
+    return (None if rule is None else rule.ipa), rest
 
 
 def parse_syllable(word: str, stats: ParseStats | None = None) -> ParseResult:
@@ -178,10 +174,10 @@ def parse_syllable(word: str, stats: ParseStats | None = None) -> ParseResult:
       - "gi" with no following vowel letter re-uses its "i" as the nucleus
         ("gì", "gìn");
       - written "a" reads as /ă/ before a final written "y" or "u".
-    The final must consume the entire remainder exactly.
+    The final must consume the entire remainder exactly.  A word that fails
+    still counts in stats.
     """
-    if stats is not None:
-        stats._start_word()
+    start = 0 if stats is None else stats.comparisons
     try:
         normalized = strip_tone(word)
         if stats is not None and normalized.tone is not Tone.FLAT:
@@ -190,7 +186,7 @@ def parse_syllable(word: str, stats: ParseStats | None = None) -> ParseResult:
         if not rest:
             raise ParseFailure(word, rest)
 
-        init_rule, rest = _match(rest, _INITIALS.get(rest[:1], ()), stats)
+        init_rule, rest = _match_class(rest, PhonemeClass.INITIAL, stats)
         glide_rule = None
         if init_rule is not None and init_rule.written_form == "q":
             # the q context guarantees a following u; it is always the glide
@@ -200,17 +196,15 @@ def parse_syllable(word: str, stats: ParseStats | None = None) -> ParseResult:
         elif init_rule is not None and init_rule.written_form == "gi" and rest[:1] not in _VOWEL_FIRST_LETTERS:
             rest = "i" + rest  # the written i serves as both initial letter and nucleus
         if glide_rule is None:
-            glide_rule, rest = _match(rest, _GLIDES, stats)
+            glide_rule, rest = _match_class(rest, PhonemeClass.GLIDE, stats)
 
-        vowel_rule, rest = _match(rest, _VOWELS.get(rest[:1], ()), stats)
+        vowel_rule, rest = _match_class(rest, PhonemeClass.VOWEL, stats)
         if vowel_rule is None:
             raise ParseFailure(word, rest)
 
         final_rule = None
         if rest:
-            if stats is not None:
-                stats.comparisons += 1
-            final_rule = _FINALS.get(rest)
+            final_rule, rest = _match_class(rest, PhonemeClass.FINAL, stats)
             if final_rule is None:
                 raise ParseFailure(word, rest)
 
@@ -230,7 +224,6 @@ def parse_syllable(word: str, stats: ParseStats | None = None) -> ParseResult:
             raise ParseFailure(word, "; ".join(problems))
         return ParseResult(
             syllable=syllable,
-            consumed=word,
             residue="",
             graphemes=(
                 init_rule.written_form if init_rule else "",
@@ -241,26 +234,24 @@ def parse_syllable(word: str, stats: ParseStats | None = None) -> ParseResult:
         )
     finally:
         if stats is not None:
-            stats._end_word()
+            stats.per_word_max = max(stats.per_word_max, stats.comparisons - start)
 
 
-def tokenize(transcript: str, stats: ParseStats | None = None) -> list[Syllable]:
+def tokenize(transcript: str) -> list[Syllable]:
     """One Syllable per whitespace-separated word, order preserved.
 
     Expects pre-cleaned lowercase words (see corpus.clean_words).  The first
     unparseable word aborts with its index on the ParseFailure.  Closed-set
-    words are read from closed_syllables(); other words, and all words when
-    stats counts rule comparisons, take the rule parser.
+    words are read from closed_syllables(); every other word takes the rule
+    parser.
     """
-    table = closed_syllables() if stats is None else {}
+    table = closed_syllables()
     syllables = []
     for index, word in enumerate(transcript.split()):
         syllable = table.get(word)
         if syllable is None:
             try:
-                syllable = parse_syllable(word, stats).syllable
-            except MultipleToneMarks:
-                raise
+                syllable = parse_syllable(word).syllable
             except ParseFailure as exc:
                 raise ParseFailure(word, exc.residue, index) from None
         syllables.append(syllable)
@@ -417,6 +408,26 @@ def detokenize(syllables) -> str:
 ABSENT = "∅"
 
 
+def rhyme_token(glide: str | None, vowel: str, final: str | None) -> str:
+    return f"{glide or ABSENT}|{vowel}|{final or ABSENT}"
+
+
+def split_rhyme_token(token: str) -> tuple[str | None, str, str | None]:
+    glide, vowel, final = token.split("|")
+    return (None if glide == ABSENT else glide, vowel, None if final == ABSENT else final)
+
+
+def _token_syllable(initial: str, glide: str, vowel: str, final: str, tone: str) -> Syllable:
+    """The Syllable of five component tokens: ∅ is an absent component, the tone a label."""
+    return Syllable(
+        vowel=vowel,
+        initial=None if initial == ABSENT else initial,
+        glide=None if glide == ABSENT else glide,
+        final=None if final == ABSENT else final,
+        tone=Tone.from_label(tone),
+    )
+
+
 def format_syllable(syllable: Syllable) -> str:
     return "|".join(
         (
@@ -438,14 +449,7 @@ def parse_syllable_token(token: str) -> Syllable:
     parts = token.split("|")
     if len(parts) != 5:
         raise ValueError(f"malformed syllable token: {token!r}")
-    initial, glide, vowel, final, tone = parts
-    return Syllable(
-        vowel=vowel,
-        initial=None if initial == ABSENT else initial,
-        glide=None if glide == ABSENT else glide,
-        final=None if final == ABSENT else final,
-        tone=Tone.from_label(tone),
-    )
+    return _token_syllable(*parts)
 
 
 def parse_phonemes(line: str) -> list[Syllable]:

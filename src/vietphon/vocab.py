@@ -11,12 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .phonology import INITIAL_IPAS, RHYMES, Syllable, Tone
-from .tokenizer import ABSENT, closed_syllables, parse_syllable
+from .tokenizer import (ABSENT, _token_syllable, closed_syllables, parse_syllable, rhyme_token,
+                        split_rhyme_token)
 
 BOS = "<bos>"
 EOS = "<eos>"
 PAD = "<pad>"
 CONTROL_TOKENS = (BOS, EOS, PAD)
+
+#: the three token spaces, in the order of a Vocabulary's fields and of an id triple
+SPACE_NAMES = ("initial", "rhyme", "tone")
 
 #: nominal space sizes of the reference tokenizer design; the computed sizes
 #: are reported next to them (note the stated total differs from the
@@ -40,15 +44,6 @@ class IdOutOfRange(IndexError):
         self.token_id = token_id
 
 
-def rhyme_token(glide: str | None, vowel: str, final: str | None) -> str:
-    return f"{glide or ABSENT}|{vowel}|{final or ABSENT}"
-
-
-def split_rhyme_token(token: str) -> tuple[str | None, str, str | None]:
-    glide, vowel, final = token.split("|")
-    return (None if glide == ABSENT else glide, vowel, None if final == ABSENT else final)
-
-
 @dataclass(frozen=True)
 class Vocabulary:
     initial_tokens: tuple[str, ...]
@@ -56,9 +51,8 @@ class Vocabulary:
     tone_tokens: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "_initial_ids", {t: i for i, t in enumerate(self.initial_tokens)})
-        object.__setattr__(self, "_rhyme_ids", {t: i for i, t in enumerate(self.rhyme_tokens)})
-        object.__setattr__(self, "_tone_ids", {t: i for i, t in enumerate(self.tone_tokens)})
+        for name, tokens in self.spaces:
+            object.__setattr__(self, f"_{name}_ids", {t: i for i, t in enumerate(tokens)})
 
     def _lookup(self, space: str, ids: dict, token: str) -> int:
         try:
@@ -93,24 +87,17 @@ class Vocabulary:
         for space, token_id, tokens in spaces:
             if tokens[token_id] in CONTROL_TOKENS:
                 raise UnknownComponent(space, tokens[token_id])
-        initial = self.initial_tokens[init_id]
-        glide, vowel, final = split_rhyme_token(self.rhyme_tokens[rhyme_id])
-        return Syllable(
-            vowel=vowel,
-            initial=None if initial == ABSENT else initial,
-            glide=glide,
-            final=final,
-            tone=Tone.from_label(self.tone_tokens[tone_id]),
-        )
+        glide, vowel, final = self.rhyme_tokens[rhyme_id].split("|")
+        return _token_syllable(self.initial_tokens[init_id], glide, vowel, final, self.tone_tokens[tone_id])
+
+    @property
+    def spaces(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
+        """The (name, tokens) pair of each space, in initial, rhyme, tone order."""
+        return tuple(zip(SPACE_NAMES, (self.initial_tokens, self.rhyme_tokens, self.tone_tokens)))
 
     @property
     def content_counts(self) -> dict[str, int]:
-        n = len(CONTROL_TOKENS)
-        return {
-            "initials": len(self.initial_tokens) - n,
-            "rhymes": len(self.rhyme_tokens) - n,
-            "tones": len(self.tone_tokens) - n,
-        }
+        return {f"{name}s": len(tokens) - len(CONTROL_TOKENS) for name, tokens in self.spaces}
 
 
 def build_vocab(lexicon: list[str] | None = None) -> Vocabulary:
@@ -165,11 +152,7 @@ def vocab_report(vocab: Vocabulary) -> dict:
 
 def write_vocab(vocab: Vocabulary, fh) -> None:
     """Plain-text table: space, id, token, one line each, to an open text file."""
-    for space, tokens in (
-        ("initial", vocab.initial_tokens),
-        ("rhyme", vocab.rhyme_tokens),
-        ("tone", vocab.tone_tokens),
-    ):
+    for space, tokens in vocab.spaces:
         for token_id, token in enumerate(tokens):
             fh.write(f"{space}\t{token_id}\t{token}\n")
 
@@ -181,15 +164,11 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 
 
 def load_vocab(path) -> Vocabulary:
-    spaces: dict[str, list[str]] = {"initial": [], "rhyme": [], "tone": []}
+    spaces: dict[str, list[str]] = {name: [] for name in SPACE_NAMES}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             space, token_id, token = line.rstrip("\n").split("\t")
             if int(token_id) != len(spaces[space]):
                 raise ValueError(f"non-contiguous id {token_id} for {space}")
             spaces[space].append(token)
-    return Vocabulary(
-        initial_tokens=tuple(spaces["initial"]),
-        rhyme_tokens=tuple(spaces["rhyme"]),
-        tone_tokens=tuple(spaces["tone"]),
-    )
+    return Vocabulary(*(tuple(spaces[name]) for name in SPACE_NAMES))

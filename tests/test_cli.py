@@ -1,13 +1,27 @@
+import contextlib
+import errno
 import io
 import json
+import os
+import pathlib
+import re
+import subprocess
 import sys
+import tempfile
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import vietphon
 from vietphon.cli import FLAG_DEFAULTS, build_parser, main
 from vietphon.head import HeadConfig, init_params, save_params
 from vietphon.vocab import load_vocab
+
+#: a device whose every write fails with ENOSPC (Linux)
+FULL = "/dev/full"
 
 
 def run(capsys, *argv):
@@ -208,6 +222,16 @@ class TestDemoHead:
         report = json.loads(out)
         assert report["passed"] and report["configs"] == 3
 
+    def test_params_to_stdout(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "params.txt"
+        run(capsys, "demo-head", "--configs", "0", "--dump-params", str(path))
+        code, out, err = run(capsys, "demo-head", "--configs", "0", "--dump-params", "-")
+        assert code == 0
+        assert not (tmp_path / "-").exists()
+        assert out == path.read_text("utf-8")
+        assert json.loads(err)["configs"] == 0
+
     def test_params_dump_and_check(self, capsys, tmp_path):
         path = tmp_path / "params.txt"
         code, _, _ = run(capsys, "demo-head", "--configs", "0", "--dump-params", str(path))
@@ -248,8 +272,7 @@ class TestDefaults:
         assert len(outputs) == 1
 
 
-@pytest.fixture
-def files(tmp_path):
+def _files(tmp_path):
     """Inputs for the error cases: good files, bad files and an unwritable path."""
 
     def write(name, data):
@@ -259,6 +282,8 @@ def files(tmp_path):
 
     params = tmp_path / "params.txt"
     save_params(init_params(HeadConfig(dim=4, v_init=8, v_rhyme=10)), params)
+    no_init_id = tmp_path / "v_init0.txt"  # an initial space with no id 0
+    save_params(init_params(HeadConfig(dim=4, v_init=0, v_rhyme=10)), no_init_id)
     lines = params.read_text("utf-8").splitlines(keepends=True)
     return SimpleNamespace(
         out=str(tmp_path / "missing" / "out.txt"),
@@ -273,7 +298,21 @@ def files(tmp_path):
         hyp_null=write("hyp_null.jsonl", '{"ref": "ba", "hyp": null}\n'),
         header_only=write("header.txt", "# vietphon head parameters v1\n"),
         no_array=write("partial.txt", "".join(l for l in lines if not l.startswith("rhyme.w_up\t"))),
+        nan_array=write("nan.txt", "".join(re.sub(r"^(fuse\t\S+\t)\S+", r"\1nan", l) for l in lines)),
+        no_init_id=str(no_init_id),
+        kept_manifest=write("kept_m.jsonl", '{"id": "a", "transcript": "ba"}\n'),
+        deep=write("deep.jsonl", "[" * 100_000 + "\n"),
+        long_id=write("long_id.jsonl", '{"id": ' + "1" * 5000 + ', "transcript": "ba"}\n'),
+        long_ref=write("long_ref.jsonl", '{"ref": ' + "1" * 5000 + ', "hyp": "ba"}\n'),
+        bad_word=write("bad_word.txt", "ba\nmẹ xyz\n"),
+        per_pairs=write("per_pairs.jsonl", '{"ref": "ba", "hyp": "ba"}\n{"ref": "ba", "hyp": "ba xyz"}\n'),
+        two=write("two.txt", "ba\nba mẹ\n"),
     )
+
+
+@pytest.fixture
+def files(tmp_path):
+    return _files(tmp_path)
 
 
 #: case -> files -> (argv, strings the error line names, stdin bytes or None)
@@ -301,12 +340,29 @@ ERROR_CASES = {
         ["demo-head", "--load-params", f.header_only], [f.header_only, "dim"], None),
     "demo-head array missing": lambda f: (
         ["demo-head", "--load-params", f.no_array], [f.no_array, "rhyme.w_up"], None),
+    "demo-head non-finite": lambda f: (["demo-head", "--load-params", f.nan_array], [f.nan_array], None),
+    "demo-head empty space": lambda f: (["demo-head", "--load-params", f.no_init_id], [f.no_init_id], None),
+    "tokenize -o full": lambda f: (["tokenize", f.text, "-o", FULL], [FULL], None),
+    "detokenize -o full": lambda f: (["detokenize", f.tokens, "-o", FULL], [FULL], None),
+    "filter -o full": lambda f: (["filter", f.kept_manifest, "-o", FULL], [FULL], None),
+    "filter --discard-file full": lambda f: (
+        ["filter", f.manifest, "-o", f.kept, "--discard-file", FULL], [FULL], None),
+    "vocab -o full": lambda f: (["vocab", "-o", FULL], [FULL], None),
+    "vocab --lexicon parse": lambda f: (["vocab", "--lexicon", f.bad_word], [f"{f.bad_word}:2", "xyz"], None),
+    "filter deep JSON": lambda f: (["filter", f.deep], [f.deep, "line 1"], None),
+    "filter long integer": lambda f: (["filter", f.long_id], [f.long_id, "line 1"], None),
+    "score deep JSON": lambda f: (["score", "--pairs", f.deep], [f"{f.deep}:1"], None),
+    "score long integer": lambda f: (["score", "--pairs", f.long_ref], [f"{f.long_ref}:1"], None),
+    "score --pairs PER": lambda f: (["score", "--pairs", f.per_pairs], [f"{f.per_pairs}:2", "xyz"], None),
+    "score --hyp PER": lambda f: (["score", "--ref", f.two, "--hyp", f.bad_word], [f"{f.bad_word}:2"], None),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ERROR_CASES))
 def test_bad_input_is_one_error_line(case, files, capsys, monkeypatch):
     argv, names, stdin = ERROR_CASES[case](files)
+    if FULL in argv and not os.path.exists(FULL):
+        pytest.skip(f"no {FULL} here")
     if stdin is not None:
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8"))
     code = main(argv)  # an exception escaping main fails the test here
@@ -317,3 +373,196 @@ def test_bad_input_is_one_error_line(case, files, capsys, monkeypatch):
     for name in names:
         assert name in lines[0]
     assert not sys.stdout.closed
+
+
+#: characters str.splitlines() ends a line at besides "\n" and "\r"
+LINE_BREAKS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+#: the ones JSON carries raw inside a string (the others it must escape)
+RAW_IN_JSON = ["\u2028", "\u2029", "\x85"]
+
+
+class TestLineEnds:
+    @pytest.mark.parametrize("sep", RAW_IN_JSON)
+    def test_filter_reads_what_it_wrote(self, sep, capsys, tmp_path):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(json.dumps({"id": "a", "transcript": f"ba{sep}mẹ"}) + "\n", "utf-8")
+        kept = tmp_path / "kept.jsonl"
+        assert run(capsys, "filter", str(manifest), "-o", str(kept))[0] == 0
+        assert sep in kept.read_text("utf-8")  # written raw
+        code, out, err = run(capsys, "filter", str(kept))
+        assert code == 0, err
+        assert json.loads(out)["overall"] == {"total": 1, "flagged": 0, "percent": 0.0}
+
+    @pytest.mark.parametrize("sep", RAW_IN_JSON)
+    def test_score_pairs_hold_raw_breaks(self, sep, capsys, tmp_path):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(f'{{"ref": "ba{sep}mẹ", "hyp": "ba mẹ"}}\n', "utf-8")
+        code, out, err = run(capsys, "score", "--pairs", str(pairs))
+        assert code == 0, err
+        assert json.loads(out)["utterances"] == 1
+
+    @pytest.mark.parametrize("sep", LINE_BREAKS)
+    def test_tokenize_gives_a_line_per_line(self, sep, capsys, tmp_path):
+        src = tmp_path / "in.txt"
+        src.write_text(f"ba{sep}mẹ\năn\n", "utf-8")
+        code, out, _ = run(capsys, "tokenize", str(src))
+        assert code == 0
+        src.write_text("ba mẹ\năn\n", "utf-8")
+        assert out == run(capsys, "tokenize", str(src))[1]
+        assert len(out.splitlines()) == 2
+
+    def test_crlf_reads_as_lf(self, capsys, tmp_path):
+        lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+        lf.write_bytes("ba mẹ\năn cơm\n".encode("utf-8"))
+        crlf.write_bytes("ba mẹ\r\năn cơm\r\n".encode("utf-8"))
+        for argv in (["tokenize"], ["roundtrip"], ["vocab", "--lexicon"], ["score", "--ref", str(lf), "--hyp"]):
+            assert run(capsys, *argv, str(crlf)) == run(capsys, *argv, str(lf))
+        tokens = tmp_path / "tokens.txt"
+        tokens.write_text(run(capsys, "tokenize", str(lf))[1].replace("\n", "\r\n"), "utf-8")
+        assert run(capsys, "detokenize", str(tokens))[1] == "ba mẹ\năn cơm\n"
+
+
+def _cli_env():
+    """The environment for a `python -m vietphon.cli` child that imports this checkout."""
+    package_root = str(pathlib.Path(vietphon.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+
+
+@pytest.mark.parametrize("stdout", ["closed pipe", FULL])
+def test_failed_stdout_is_one_error_line(stdout, tmp_path):
+    src = tmp_path / "in.txt"
+    src.write_text("ba mẹ\n", "utf-8")
+    if stdout == FULL:
+        if not os.path.exists(FULL):
+            pytest.skip(f"no {FULL} here")
+        sink = os.open(FULL, os.O_WRONLY)
+        reason = os.strerror(errno.ENOSPC)
+    else:
+        read_end, sink = os.pipe()
+        os.close(read_end)  # closed before anything is read
+        reason = os.strerror(errno.EPIPE)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "vietphon.cli", "tokenize", str(src)], stdout=sink,
+                              stderr=subprocess.PIPE, env=_cli_env(), timeout=120)
+    finally:
+        os.close(sink)
+    assert proc.returncode == 1
+    assert proc.stderr.decode("utf-8") == f"error: <stdout>: {reason}\n"
+
+
+# ---------------------------------------------------------------------------
+# The error contract as a property: one test per subcommand that reads a file
+# ("rules" reads none).  Each draws a file content, an output place and an
+# argv shape; the ERROR_CASES of the subcommand are its explicit examples.
+# ---------------------------------------------------------------------------
+
+def _param_lines():
+    """Lines of a small head parameter file, and variants a bad file may hold."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "p.txt"
+        save_params(init_params(HeadConfig(dim=2, v_init=3, v_rhyme=3)), path)
+        lines = path.read_text("utf-8").splitlines()
+    header, arrays = lines[0], lines[1:]
+    return [header, header.replace("v_init=3", "v_init=0"), header.replace("dim=2", "dim=-1"),
+            *arrays, *(re.sub(r"\t\S+", "\tnan", line, count=1) for line in arrays)]
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_WORDS = st.sampled_from(["ba", "mẹ", "hoàng", "xyz", "bàá", "okay", "b|∅|a|∅|Flat", "b|a", "∅|∅|a|∅|Nope"])
+_LINE = st.one_of(
+    _JSON.map(json.dumps),  # JSON of the wrong shape
+    st.dictionaries(st.sampled_from(["id", "transcript", "split", "ref", "hyp"]),  # fields missing or mistyped
+                    _JSON | _WORDS, max_size=4).map(lambda record: json.dumps(record, ensure_ascii=False)),
+    st.lists(_WORDS | st.text(max_size=5), max_size=4).map(" ".join),
+    st.sampled_from(_param_lines()),
+)
+#: contents of a generated input file: raw bytes or lines of the kinds above
+CONTENTS = st.binary(max_size=48) | st.lists(_LINE, max_size=4).map(lambda lines: "\n".join(lines).encode("utf-8"))
+#: where a generated output goes: a new file, a missing directory, a directory, stdout or a full device
+DESTS = st.sampled_from(["new", "missing", "dir", "-"] + ([FULL] if os.path.exists(FULL) else []))
+
+#: subcommand -> argv shapes over the files namespace: f.gen holds the drawn content (so does stdin), f.dest is
+#: the drawn output; each gives (argv, strings the error line names, stdin bytes) like ERROR_CASES
+SHAPES = {
+    "tokenize": [lambda f: (["tokenize", f.gen, "-o", f.dest], [], None),
+                 lambda f: (["tokenize", "--strict", "--no-nfd-ok", "-", "-o", f.dest], [], f.content)],
+    "detokenize": [lambda f: (["detokenize", f.gen, "-o", f.dest], [], None),
+                   lambda f: (["detokenize", "-"], [], f.content)],
+    "roundtrip": [lambda f: (["roundtrip", f.gen], [], None),
+                  lambda f: (["roundtrip", "-"], [], f.content)],
+    "vocab": [lambda f: (["vocab", "--lexicon", f.gen, "-o", f.dest], [], None),
+              lambda f: (["vocab", "--lexicon", "-"], [], f.content)],
+    "score": [lambda f: (["score", "--pairs", f.gen], [], None),
+              lambda f: (["score", "--pairs", "-", "--per-alignment", "flat"], [], f.content),
+              lambda f: (["score", "--ref", f.gen, "--hyp", f.two], [], None),
+              lambda f: (["score", "--ref", f.two, "--hyp", f.gen], [], None)],
+    "filter": [lambda f: (["filter", f.gen, "-o", f.dest], [], None),
+               lambda f: (["filter", "-", "-o", f.kept, "--discard-file", f.dest], [], f.content)],
+    "demo-head": [lambda f: (["demo-head", "--load-params", f.gen], [], None),
+                  lambda f: (["demo-head", "--configs", "0", "--dump-params", f.dest], [], None)],
+}
+
+
+def _is_verdict(command, out, err):
+    """An exit 1 that is a verdict, not an error: roundtrip mismatches, a failed gradient check."""
+    if command == "roundtrip":
+        return re.fullmatch(r"\d+ words, [1-9]\d* mismatches\n", out) is not None
+    return command == "demo-head" and not err.startswith("error:") and json.loads(out)["passed"] is False
+
+
+def _check_contract(command, case, content, dest):
+    with tempfile.TemporaryDirectory() as tmp:
+        f = _files(pathlib.Path(tmp))
+        f.content, f.gen = content, str(pathlib.Path(tmp) / "gen.txt")
+        pathlib.Path(f.gen).write_bytes(content)
+        f.dest = {"new": str(pathlib.Path(tmp) / "dest.txt"), "missing": f.out, "dir": tmp}.get(dest, dest)
+        argv, names, stdin = case(f)
+        if FULL in argv and not os.path.exists(FULL):
+            return
+        out, err = io.StringIO(), io.StringIO()
+        stdin = io.TextIOWrapper(io.BytesIO(stdin or b""), encoding="utf-8")
+        cwd = os.getcwd()
+        os.chdir(tmp)  # "-" is stdout: a file of that name must not appear
+        try:
+            with mock.patch.object(sys, "stdin", stdin), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)  # an exception escaping main fails the property
+            assert not os.path.exists("-")
+        finally:
+            os.chdir(cwd)
+        files_named = [a for a in argv if a.startswith(tmp) or a == FULL] + ["<stdin>"]
+    assert code in (0, 1)
+    assert "Traceback" not in err.getvalue()
+    assert not out.closed
+    if code == 1 and not _is_verdict(command, out.getvalue(), err.getvalue()):
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()
+        assert any(name in lines[0] for name in files_named), lines[0]
+        assert all(name in lines[0] for name in names), lines[0]
+
+
+def _contract_property(command):
+    """The property test of one subcommand, with its ERROR_CASES as explicit examples."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from(SHAPES[command]), content=CONTENTS, dest=DESTS)
+    def test(case, content, dest):
+        _check_contract(command, case, content, dest)
+
+    for name, case in ERROR_CASES.items():
+        if name.split()[0] == command:
+            test = example(case=case, content=b"", dest="new")(test)
+    return test
+
+
+test_tokenize_error_contract = _contract_property("tokenize")
+test_detokenize_error_contract = _contract_property("detokenize")
+test_roundtrip_error_contract = _contract_property("roundtrip")
+test_vocab_error_contract = _contract_property("vocab")
+test_score_error_contract = _contract_property("score")
+test_filter_error_contract = _contract_property("filter")
+test_demo_head_error_contract = _contract_property("demo-head")
