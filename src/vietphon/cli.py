@@ -325,6 +325,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "score" and not args.pairs and not (args.ref and args.hyp):
         parser.error("score requires --pairs or both --ref and --hyp")
+    if args.command == "demo-head" and args.configs < 0:
+        parser.error(f"demo-head --configs must be 0 or more, got {args.configs}")
     try:
         code = args.func(args)
         sys.stdout.flush()  # a failed write to stdout is reported here, not at exit

@@ -8,6 +8,12 @@ objective is the exact sum of the three per-head cross entropies.  The
 transformer trunk between fusion and heads is out of scope; the fused vector
 feeds the heads directly so every parameter sits on one differentiable path,
 verified against central finite differences.
+
+Every parameter array may carry a leading batch axis of B variants (the other
+arrays stay unbatched and broadcast): ``forward`` then returns logits with a
+leading axis of B and ``sequence_loss`` one total per variant.  The finite
+difference check uses this to perturb every entry of one array in one loss
+call, in chunks of at most ``FD_CHUNK_FLOATS`` floats of copies and activations.
 """
 
 from __future__ import annotations
@@ -24,6 +30,10 @@ HEADS = ("init", "rhyme", "tone")
 TONE_SPACE = 6
 LN_EPS = 1e-5
 HEAD_PARTS = ("ln_gain", "ln_bias", "w_up", "w_down", "w_out", "b_out")
+#: most floats (8 MB) one finite-difference chunk holds in perturbed copies and
+#: their forward activations, whatever the array and sequence lengths; a chunk
+#: has at least one entry
+FD_CHUNK_FLOATS = 1 << 20
 
 
 class NonFiniteInput(ValueError):
@@ -92,6 +102,8 @@ def _param_shapes(config: HeadConfig) -> dict[str, tuple[int, ...]]:
 
 def _assemble(config: HeadConfig, arrays: dict[str, np.ndarray]) -> HeadParams:
     """HeadParams from named arrays, each checked against _param_shapes."""
+    if config.dim < 1:
+        raise ShapeMismatch(f"model dim must be at least 1, got {config.dim}")
     if config.v_tone != TONE_SPACE:
         raise ShapeMismatch(f"tone vocabulary must be {TONE_SPACE}, got {config.v_tone}")
     for name, shape in _param_shapes(config).items():
@@ -99,6 +111,11 @@ def _assemble(config: HeadConfig, arrays: dict[str, np.ndarray]) -> HeadParams:
             raise ValueError(f"missing parameter array {name!r}")
         if arrays[name].shape != shape:
             raise ShapeMismatch(f"{name}: expected {shape}, got {arrays[name].shape}")
+    return _from_arrays(config, arrays)
+
+
+def _from_arrays(config: HeadConfig, arrays: dict[str, np.ndarray]) -> HeadParams:
+    """HeadParams from named arrays as given: unchecked, so an array may be batched."""
     return HeadParams(
         config=config,
         embed={h: arrays[f"embed.{h}"] for h in HEADS},
@@ -152,9 +169,14 @@ def _layer_norm_bwd(dy, gain, xhat, inv):
 FfnCache = namedtuple("FfnCache", "h xhat inv u r out")
 
 
+def _over_steps(vector):
+    """A parameter vector, or a (B, k) batch of them made (B, 1, k) to broadcast over steps."""
+    return vector if vector.ndim == 1 else vector[:, None, :]
+
+
 def _ffn(f, gain, bias, w_up, w_down, residual) -> FfnCache:
     """The FFN head body on checked input, shared by every forward entry."""
-    h, xhat, inv = _layer_norm_fwd(f, gain, bias)
+    h, xhat, inv = _layer_norm_fwd(f, _over_steps(gain), _over_steps(bias))
     u = h @ w_up
     r = np.maximum(u, 0.0)
     return FfnCache(h, xhat, inv, u, r, (h if residual == "normalized" else f) + r @ w_down)
@@ -188,7 +210,7 @@ def _run_heads(f_dec, params: HeadParams, residual: str):
     for head in HEADS:
         layers[head] = _ffn(f_dec, params.ln_gain[head], params.ln_bias[head],
                             params.w_up[head], params.w_down[head], residual)
-        logits[head] = layers[head].out @ params.w_out[head] + params.b_out[head]
+        logits[head] = layers[head].out @ params.w_out[head] + _over_steps(params.b_out[head])
     return logits, layers
 
 
@@ -207,9 +229,8 @@ def _embed(ids, params: HeadParams):
         bad = ids[:, column][(ids[:, column] < 0) | (ids[:, column] >= v)]
         if bad.size:
             raise IdOutOfRange(head, int(bad[0]), v)
-    x_cat = np.concatenate(
-        [params.embed[head][ids[:, column]] for column, head in enumerate(HEADS)], axis=-1
-    )
+    rows = [np.take(params.embed[head], ids[:, column], axis=-2) for column, head in enumerate(HEADS)]
+    x_cat = np.concatenate(np.broadcast_arrays(*rows), axis=-1)
     return ids, x_cat, x_cat @ params.fuse
 
 
@@ -221,7 +242,11 @@ def embed_prev(ids, params: HeadParams) -> np.ndarray:
 
 def forward(params: HeadParams, prev_ids, residual: str = "normalized"):
     """Per-head logits, and the cache sequence_grads reads: (checked (n, 3) ids,
-    concatenated embeddings, head -> FfnCache)."""
+    concatenated embeddings, head -> FfnCache).
+
+    Logits are (n, V) per head, or (B, n, V) when any parameter array carries a
+    leading batch axis of B variants; the unbatched arrays broadcast over it.
+    """
     ids, x_cat, f_dec = _embed(prev_ids, params)
     logits, layers = _run_heads(f_dec, params, residual)
     return logits, (ids, x_cat, layers)
@@ -235,7 +260,10 @@ def softmax(logits):
 
 
 def composite_loss(logits: dict[str, np.ndarray], targets: dict[str, np.ndarray]):
-    """Sum of the three per-head mean cross entropies: (total, per-head dict)."""
+    """Sum of the three per-head mean cross entropies: (total, per-head dict).
+
+    Logits of shape (B, n, V) give a total and per-head losses of shape (B,).
+    """
     lengths = {head: len(np.atleast_1d(targets[head])) for head in HEADS}
     if len(set(lengths.values())) != 1:
         raise LengthMismatch(f"target lengths differ across heads: {lengths}")
@@ -243,10 +271,10 @@ def composite_loss(logits: dict[str, np.ndarray], targets: dict[str, np.ndarray]
     for head in HEADS:
         z = np.atleast_2d(np.asarray(logits[head], float))
         y = np.atleast_1d(np.asarray(targets[head], int))
-        if z.shape[0] != y.shape[0]:
-            raise LengthMismatch(f"{head}: {z.shape[0]} logit rows vs {y.shape[0]} targets")
+        if z.shape[-2] != y.shape[0]:
+            raise LengthMismatch(f"{head}: {z.shape[-2]} logit rows vs {y.shape[0]} targets")
         probs = softmax(z)
-        per_head[head] = -np.log(probs[np.arange(len(y)), y]).sum() / len(y)
+        per_head[head] = -np.log(probs[..., np.arange(len(y)), y]).sum(axis=-1) / len(y)
     total = per_head["init"] + per_head["rhyme"] + per_head["tone"]
     return total, per_head
 
@@ -256,7 +284,11 @@ def composite_loss(logits: dict[str, np.ndarray], targets: dict[str, np.ndarray]
 # ---------------------------------------------------------------------------
 
 def sequence_loss(params: HeadParams, prev_ids, targets, residual: str = "normalized"):
-    """Composite loss of the full pipeline: embed previous ids, run the heads."""
+    """Composite loss of the full pipeline: embed previous ids, run the heads.
+
+    With batched parameter arrays (see forward) the total and per-head losses
+    hold one value per variant.
+    """
     return composite_loss(forward(params, prev_ids, residual)[0], targets)
 
 
@@ -301,21 +333,34 @@ def sequence_grads(params: HeadParams, prev_ids, targets, residual: str = "norma
 
 def finite_difference_grads(params: HeadParams, prev_ids, targets,
                             residual: str = "normalized", step: float = 1e-5):
-    """Central differences of the composite loss for every parameter entry."""
+    """Central differences of the composite loss for every parameter entry.
+
+    For each array the P copies with one entry raised by step and the P with
+    it lowered are stacked on a leading batch axis and go through one
+    sequence_loss call, split into chunks whose copies and forward activations
+    hold at most FD_CHUNK_FLOATS floats.  The caller's arrays are read, never
+    written.
+    """
+    arrays = dict(params.named_arrays())
+    # a variant's forward activations per step, about: embeddings and fused
+    # features, three FFN caches, and logits with their softmax temporaries
+    width = 25 * params.config.dim + 4 * sum(params.config.vocab_sizes.values())
+    steps = len(np.atleast_2d(prev_ids))
     grads = {}
-    for name, array in params.named_arrays():
-        grad = np.zeros_like(array)
+    for name, array in arrays.items():
         flat = array.reshape(-1)
-        gflat = grad.reshape(-1)
-        for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + step
-            up, _ = sequence_loss(params, prev_ids, targets, residual)
-            flat[i] = saved - step
-            down, _ = sequence_loss(params, prev_ids, targets, residual)
-            flat[i] = saved
-            gflat[i] = (up - down) / (2.0 * step)
-        grads[name] = grad
+        grad = np.empty(flat.size)
+        per_chunk = max(1, FD_CHUNK_FLOATS // (2 * (flat.size + steps * width)))
+        for start in range(0, flat.size, per_chunk):
+            index = np.arange(start, min(start + per_chunk, flat.size))
+            rows = np.arange(len(index))
+            batch = np.tile(flat, (2, len(index), 1))  # row i of [0] raises entry index[i], of [1] lowers it
+            batch[0, rows, index] += step
+            batch[1, rows, index] -= step
+            variants = _from_arrays(params.config, {**arrays, name: batch.reshape(-1, *array.shape)})
+            up, down = sequence_loss(variants, prev_ids, targets, residual)[0].reshape(2, -1)
+            grad[index] = (up - down) / (2.0 * step)
+        grads[name] = grad.reshape(array.shape)
     return grads
 
 

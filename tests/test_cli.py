@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from types import SimpleNamespace
 from unittest import mock
 
@@ -22,6 +23,7 @@ from vietphon.vocab import load_vocab
 
 #: a device whose every write fails with ENOSPC (Linux)
 FULL = "/dev/full"
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -232,6 +234,21 @@ class TestDemoHead:
         assert out == path.read_text("utf-8")
         assert json.loads(err)["configs"] == 0
 
+    @pytest.mark.parametrize("argv, golden", [
+        (["--configs", "100"], "demo_head_100.out"),
+        (["--configs", "20", "--residual", "input"], "demo_head_20_input.out"),
+    ])
+    def test_report_is_golden(self, argv, golden, capsys):
+        code, out, _ = run(capsys, "demo-head", *argv)
+        assert code == 0
+        assert out == (DATA / golden).read_text("utf-8")
+
+    def test_negative_configs_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["demo-head", "--configs", "-3"])
+        assert exc.value.code == 2
+        assert "--configs" in capsys.readouterr().err
+
     def test_params_dump_and_check(self, capsys, tmp_path):
         path = tmp_path / "params.txt"
         code, _, _ = run(capsys, "demo-head", "--configs", "0", "--dump-params", str(path))
@@ -285,6 +302,13 @@ def _files(tmp_path):
     no_init_id = tmp_path / "v_init0.txt"  # an initial space with no id 0
     save_params(init_params(HeadConfig(dim=4, v_init=0, v_rhyme=10)), no_init_id)
     lines = params.read_text("utf-8").splitlines(keepends=True)
+    sizes = {"init": 8, "rhyme": 10, "tone": 6}
+    dim_zero = "".join([  # by hand: init_params refuses dim=0
+        "# vietphon head parameters v1 dim=0 v_init=8 v_rhyme=10 v_tone=6\n",
+        *(f"embed.{h}\t{v},0\t\n" for h, v in sizes.items()), "fuse\t0,0\t\n",
+        *(f"{h}.ln_gain\t0\t\n{h}.ln_bias\t0\t\n{h}.w_up\t0,0\t\n{h}.w_down\t0,0\t\n"
+          f"{h}.w_out\t0,{v}\t\n{h}.b_out\t{v}\t{' '.join(['0.0'] * v)}\n" for h, v in sizes.items()),
+    ])
     return SimpleNamespace(
         out=str(tmp_path / "missing" / "out.txt"),
         kept=str(tmp_path / "kept.jsonl"),
@@ -300,6 +324,7 @@ def _files(tmp_path):
         no_array=write("partial.txt", "".join(l for l in lines if not l.startswith("rhyme.w_up\t"))),
         nan_array=write("nan.txt", "".join(re.sub(r"^(fuse\t\S+\t)\S+", r"\1nan", l) for l in lines)),
         no_init_id=str(no_init_id),
+        dim_zero=write("dim0.txt", dim_zero),
         kept_manifest=write("kept_m.jsonl", '{"id": "a", "transcript": "ba"}\n'),
         deep=write("deep.jsonl", "[" * 100_000 + "\n"),
         long_id=write("long_id.jsonl", '{"id": ' + "1" * 5000 + ', "transcript": "ba"}\n'),
@@ -342,6 +367,7 @@ ERROR_CASES = {
         ["demo-head", "--load-params", f.no_array], [f.no_array, "rhyme.w_up"], None),
     "demo-head non-finite": lambda f: (["demo-head", "--load-params", f.nan_array], [f.nan_array], None),
     "demo-head empty space": lambda f: (["demo-head", "--load-params", f.no_init_id], [f.no_init_id], None),
+    "demo-head dim zero": lambda f: (["demo-head", "--load-params", f.dim_zero], [f.dim_zero, "dim"], None),
     "tokenize -o full": lambda f: (["tokenize", f.text, "-o", FULL], [FULL], None),
     "detokenize -o full": lambda f: (["detokenize", f.tokens, "-o", FULL], [FULL], None),
     "filter -o full": lambda f: (["filter", f.kept_manifest, "-o", FULL], [FULL], None),
@@ -365,8 +391,11 @@ def test_bad_input_is_one_error_line(case, files, capsys, monkeypatch):
         pytest.skip(f"no {FULL} here")
     if stdin is not None:
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8"))
-    code = main(argv)  # an exception escaping main fails the test here
+    with warnings.catch_warnings(record=True) as caught:  # a warning would reach stderr
+        warnings.simplefilter("always")
+        code = main(argv)  # an exception escaping main fails the test here
     err = capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
     assert code == 1
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vietphon import vocab
+from vietphon import head, vocab
 from vietphon.head import (
     HEADS,
     GradCheckReport,
@@ -280,6 +283,131 @@ class TestGradients:
         assert worst < 1e-6
 
 
+def reference_finite_difference_grads(params, prev_ids, targets, residual="normalized", step=1e-5):
+    """Central differences one entry at a time, deliberately loop-based.
+
+    Perturbs the caller's arrays in place and restores every entry it touched.
+    """
+    grads = {}
+    for name, array in params.named_arrays():
+        grad = np.zeros_like(array)
+        flat = array.reshape(-1)
+        gflat = grad.reshape(-1)
+        for i in range(flat.size):
+            saved = flat[i]
+            flat[i] = saved + step
+            up, _ = sequence_loss(params, prev_ids, targets, residual)
+            flat[i] = saved - step
+            down, _ = sequence_loss(params, prev_ids, targets, residual)
+            flat[i] = saved
+            gflat[i] = (up - down) / (2.0 * step)
+        grads[name] = grad
+    return grads
+
+
+def variants(params, names, count, seed):
+    """params with each named array stacked into count seeded variants, and the
+    count unbatched HeadParams those rows stand for."""
+    rows = [dict(params.named_arrays()) for _ in range(count)]
+    for k, row in enumerate(rows):
+        drawn = dict(init_params(params.config, seed=seed + k).named_arrays())
+        row.update({name: drawn[name] for name in names})
+    stacked = {name: np.stack([row[name] for row in rows]) if name in names else array
+               for name, array in params.named_arrays()}
+    return head._from_arrays(params.config, stacked), [head._from_arrays(params.config, row) for row in rows]
+
+
+PARAM_NAMES = [name for name, _ in init_params(CONFIG).named_arrays()]
+
+
+class TestBatchedFiniteDifferences:
+    @pytest.mark.parametrize("residual", ["normalized", "input"])
+    def test_equals_the_per_entry_loop(self, residual):
+        for seed in range(20):
+            params, ids, targets = toy_batch(seed, residual)
+            got = finite_difference_grads(params, ids, targets, residual)
+            want = reference_finite_difference_grads(params, ids, targets, residual)
+            assert got.keys() == want.keys()
+            for name in want:
+                assert np.array_equal(got[name], want[name]), (seed, name)
+
+    def test_leaves_the_arrays_alone(self):
+        params, ids, targets = toy_batch(seed=6)
+        before = {name: array.copy() for name, array in params.named_arrays()}
+        want = finite_difference_grads(params, ids, targets)
+        for name, array in params.named_arrays():
+            assert np.array_equal(array, before[name]), name
+            array.flags.writeable = False
+        got = finite_difference_grads(params, ids, targets)
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
+
+    @pytest.mark.parametrize("chunk_floats", [1, 100])  # one entry a chunk; several, the last one short
+    def test_chunks_give_the_one_chunk_result(self, chunk_floats, monkeypatch):
+        for residual in ("normalized", "input"):
+            params, ids, targets = toy_batch(seed=7, residual=residual)
+            whole = finite_difference_grads(params, ids, targets, residual)
+            monkeypatch.setattr(head, "FD_CHUNK_FLOATS", chunk_floats)
+            chunked = finite_difference_grads(params, ids, targets, residual)
+            monkeypatch.undo()
+            for name in whole:
+                assert np.array_equal(chunked[name], whole[name]), (residual, name)
+
+    def test_chunks_bound_memory_on_long_sequences(self, monkeypatch):
+        monkeypatch.setattr(head, "FD_CHUNK_FLOATS", 1 << 16)
+        config = HeadConfig(dim=6, v_init=8, v_rhyme=8)
+        rng = np.random.default_rng(0)
+        ids = np.column_stack([rng.integers(0, v, size=60) for v in (8, 8, 6)])
+        targets = {h: rng.integers(0, v, size=60) for h, v in config.vocab_sizes.items()}
+        params = init_params(config, seed=1)
+        tracemalloc.start()
+        try:
+            finite_difference_grads(params, ids, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the activations per chunk are estimated, so allow twice the bound
+        assert peak < 2 * 8 * head.FD_CHUNK_FLOATS
+
+    def test_one_loss_call_per_array_within_a_chunk(self, monkeypatch):
+        params, ids, targets = toy_batch(seed=8)
+        calls = []
+        monkeypatch.setattr(head, "sequence_loss",
+                            lambda *args: calls.append(1) or sequence_loss(*args))
+        finite_difference_grads(params, ids, targets)
+        assert len(calls) == len(PARAM_NAMES)
+
+
+class TestBatchedForward:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), count=st.integers(1, 5),
+           names=st.sets(st.sampled_from(PARAM_NAMES), min_size=1, max_size=4),
+           residual=st.sampled_from(["normalized", "input"]))
+    def test_rows_equal_unbatched_calls(self, seed, count, names, residual):
+        params, ids, targets = toy_batch(seed, residual)
+        batched, rows = variants(params, names, count, seed)
+        totals, per_head = sequence_loss(batched, ids, targets, residual)
+        assert totals.shape == (count,)
+        for k, row in enumerate(rows):
+            total, row_heads = sequence_loss(row, ids, targets, residual)
+            assert totals[k] == total
+            # a head no batched array reaches keeps an unbatched loss
+            assert all(np.broadcast_to(per_head[h], (count,))[k] == row_heads[h] for h in HEADS)
+
+    def test_batched_call_raises_what_an_unbatched_one_raises(self):
+        params, ids, targets = toy_batch(seed=0)
+        batched, _ = variants(params, ["fuse", "init.w_up", "embed.rhyme"], 3, seed=0)
+        with pytest.raises(ValueError):
+            sequence_loss(batched, ids, targets, residual="raw")
+        bad_ids = np.array(ids)
+        bad_ids[0, 0] = -1
+        with pytest.raises(IdOutOfRange):
+            sequence_loss(batched, bad_ids, targets)
+        batched.fuse[1, 0, 0] = np.nan
+        with pytest.raises(NonFiniteInput):
+            sequence_loss(batched, ids, targets)
+
+
 class TestParamsIo:
     def test_save_load_roundtrip(self, params, tmp_path):
         path = tmp_path / "params.txt"
@@ -310,6 +438,11 @@ class TestParamsIo:
         path.write_text(text.replace(" v_rhyme=9", "", 1), "utf-8")
         with pytest.raises(ValueError, match="v_rhyme"):
             load_params(path)
+
+    def test_model_dim_at_least_one(self):
+        for dim in (0, -1):
+            with pytest.raises(ValueError, match="dim"):
+                init_params(HeadConfig(dim=dim, v_init=5, v_rhyme=5))
 
     def test_tone_space_enforced(self):
         with pytest.raises(ShapeMismatch):
