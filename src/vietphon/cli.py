@@ -325,6 +325,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "score" and not args.pairs and not (args.ref and args.hyp):
         parser.error("score requires --pairs or both --ref and --hyp")
+    if (args.command == "filter" and args.output and args.discard_file
+            and "-" not in (args.output, args.discard_file)
+            and os.path.realpath(args.output) == os.path.realpath(args.discard_file)):
+        parser.error(f"filter -o and --discard-file name the same file: {args.output}")
     if args.command == "demo-head" and args.configs < 0:
         parser.error(f"demo-head --configs must be 0 or more, got {args.configs}")
     try:

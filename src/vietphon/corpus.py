@@ -1,9 +1,10 @@
 """Transcript manifest ingestion, non-Vietnamese detection, and filtering.
 
-Manifests are JSONL with fields {id, transcript, split}; unknown fields
-(audio paths etc.) pass through untouched.  A word counts as Vietnamese when
-it parses as a syllable AND renders back to itself — the round-trip guard
-rejects pseudo-parses and spelling variants outside the canonical orthography.
+Manifests are JSONL with string fields {id, transcript, split}, split
+optional; unknown fields (audio paths etc.) pass through untouched.  A word
+counts as Vietnamese when it parses as a syllable AND renders back to itself —
+the round-trip guard rejects pseudo-parses and spelling variants outside the
+canonical orthography.
 A closed-set word (tokenizer.closed_syllables) is a table hit, accepted
 without a parse; every other word takes the rule path: parse, render, compare.
 """
@@ -106,10 +107,13 @@ def parse_manifest_line(line: str, line_number: int) -> TranscriptRecord:
     for key in ("id", "transcript"):
         if key not in payload:
             raise MalformedManifestLine(line_number, f"missing field {key!r}")
+    for key in ("id", "transcript", "split"):
+        if not isinstance(payload.get(key, ""), str):
+            raise MalformedManifestLine(line_number, f"field {key!r} must be a string")
     return TranscriptRecord(
-        utterance_id=str(payload.pop("id")),
-        transcript=str(payload.pop("transcript")),
-        split=str(payload.pop("split", "")),
+        utterance_id=payload.pop("id"),
+        transcript=payload.pop("transcript"),
+        split=payload.pop("split", ""),
         extras=payload,
     )
 

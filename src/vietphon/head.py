@@ -9,6 +9,11 @@ transformer trunk between fusion and heads is out of scope; the fused vector
 feeds the heads directly so every parameter sits on one differentiable path,
 verified against central finite differences.
 
+Parameter arrays have one name each, the one the parameter file and the
+gradient-check report use: ``fuse``, ``embed.<head>``, and ``<head>.<part>``
+for each head of HEADS and part of HEAD_PARTS.  HeadParams maps these names to
+arrays, and the forward pass, the gradients and the file read them by name.
+
 Every parameter array may carry a leading batch axis of B variants (the other
 arrays stay unbatched and broadcast): ``forward`` then returns logits with a
 leading axis of B and ``sequence_loss`` one total per variant.  The finite
@@ -62,41 +67,32 @@ class HeadConfig:
 
 @dataclass
 class HeadParams:
-    """All learnable tensors: embeddings, fusion, and per-head FFN + output."""
+    """Every learnable array by its name (see the module docstring), e.g.
+    ``params["rhyme.w_up"]``; _param_shapes gives each name's shape.
+
+    Built as given, so an array may carry a batch axis; init_params and
+    load_params check every name and shape.
+    """
 
     config: HeadConfig
-    embed: dict[str, np.ndarray]    # head -> (V_p, d)
-    fuse: np.ndarray                # (3d, d)
-    ln_gain: dict[str, np.ndarray]  # head -> (d,)
-    ln_bias: dict[str, np.ndarray]
-    w_up: dict[str, np.ndarray]     # head -> (d, 2d)
-    w_down: dict[str, np.ndarray]   # head -> (2d, d)
-    w_out: dict[str, np.ndarray]    # head -> (d, V_p)
-    b_out: dict[str, np.ndarray]    # head -> (V_p,)
+    arrays: dict[str, np.ndarray]
 
-    def named_arrays(self):
-        yield "fuse", self.fuse
-        for head in HEADS:
-            yield f"embed.{head}", self.embed[head]
-        for head in HEADS:
-            for part in HEAD_PARTS:
-                yield f"{head}.{part}", getattr(self, part)[head]
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.arrays[name]
 
-    def check_shapes(self) -> None:
-        _assemble(self.config, dict(self.named_arrays()))
+
+#: the order init_params draws the arrays in, which sets every seeded value
+_DRAW_ORDER = (*(f"embed.{head}" for head in HEADS), "fuse",
+               *(f"{head}.{part}" for part in HEAD_PARTS for head in HEADS))
 
 
 def _param_shapes(config: HeadConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every parameter array, in the order init_params draws them."""
-    d = config.dim
-    shapes = {f"embed.{head}": (v, d) for head, v in config.vocab_sizes.items()}
-    shapes["fuse"] = (3 * d, d)
-    for part in HEAD_PARTS:
-        for head, v in config.vocab_sizes.items():
-            shapes[f"{head}.{part}"] = {
-                "ln_gain": (d,), "ln_bias": (d,), "w_up": (d, 2 * d),
-                "w_down": (2 * d, d), "w_out": (d, v), "b_out": (v,),
-            }[part]
+    """Name -> shape of every parameter array, in file and report order."""
+    d, sizes = config.dim, config.vocab_sizes
+    shapes = {"fuse": (3 * d, d), **{f"embed.{head}": (v, d) for head, v in sizes.items()}}
+    for head, v in sizes.items():
+        part_shapes = ((d,), (d,), (d, 2 * d), (2 * d, d), (d, v), (v,))
+        shapes.update({f"{head}.{part}": shape for part, shape in zip(HEAD_PARTS, part_shapes)})
     return shapes
 
 
@@ -106,33 +102,23 @@ def _assemble(config: HeadConfig, arrays: dict[str, np.ndarray]) -> HeadParams:
         raise ShapeMismatch(f"model dim must be at least 1, got {config.dim}")
     if config.v_tone != TONE_SPACE:
         raise ShapeMismatch(f"tone vocabulary must be {TONE_SPACE}, got {config.v_tone}")
-    for name, shape in _param_shapes(config).items():
+    shapes = _param_shapes(config)
+    for name in arrays:
+        if name not in shapes:
+            raise ValueError(f"unknown parameter array {name!r}")
+    for name, shape in shapes.items():
         if name not in arrays:
             raise ValueError(f"missing parameter array {name!r}")
         if arrays[name].shape != shape:
             raise ShapeMismatch(f"{name}: expected {shape}, got {arrays[name].shape}")
-    return _from_arrays(config, arrays)
-
-
-def _from_arrays(config: HeadConfig, arrays: dict[str, np.ndarray]) -> HeadParams:
-    """HeadParams from named arrays as given: unchecked, so an array may be batched."""
-    return HeadParams(
-        config=config,
-        embed={h: arrays[f"embed.{h}"] for h in HEADS},
-        fuse=arrays["fuse"],
-        **{part: {h: arrays[f"{h}.{part}"] for h in HEADS} for part in HEAD_PARTS},
-    )
+    return HeadParams(config, {name: arrays[name] for name in shapes})
 
 
 def init_params(config: HeadConfig, seed: int = 0, scale: float = 0.1) -> HeadParams:
     """Seeded uniform initialization in [-scale, scale], reproducible."""
     rng = np.random.default_rng(seed)
-    return _assemble(config, {name: rng.uniform(-scale, scale, size=shape)
-                              for name, shape in _param_shapes(config).items()})
-
-
-def zero_params(config: HeadConfig) -> HeadParams:
-    return init_params(config, seed=0, scale=0.0)
+    shapes = _param_shapes(config)
+    return _assemble(config, {name: rng.uniform(-scale, scale, size=shapes[name]) for name in _DRAW_ORDER})
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +194,9 @@ def _run_heads(f_dec, params: HeadParams, residual: str):
         raise ShapeMismatch(f"feature dim {f_dec.shape[-1]} != model dim {params.config.dim}")
     logits, layers = {}, {}
     for head in HEADS:
-        layers[head] = _ffn(f_dec, params.ln_gain[head], params.ln_bias[head],
-                            params.w_up[head], params.w_down[head], residual)
-        logits[head] = layers[head].out @ params.w_out[head] + _over_steps(params.b_out[head])
+        layers[head] = _ffn(f_dec, params[f"{head}.ln_gain"], params[f"{head}.ln_bias"],
+                            params[f"{head}.w_up"], params[f"{head}.w_down"], residual)
+        logits[head] = layers[head].out @ params[f"{head}.w_out"] + _over_steps(params[f"{head}.b_out"])
     return logits, layers
 
 
@@ -229,9 +215,9 @@ def _embed(ids, params: HeadParams):
         bad = ids[:, column][(ids[:, column] < 0) | (ids[:, column] >= v)]
         if bad.size:
             raise IdOutOfRange(head, int(bad[0]), v)
-    rows = [np.take(params.embed[head], ids[:, column], axis=-2) for column, head in enumerate(HEADS)]
+    rows = [np.take(params[f"embed.{head}"], ids[:, column], axis=-2) for column, head in enumerate(HEADS)]
     x_cat = np.concatenate(np.broadcast_arrays(*rows), axis=-1)
-    return ids, x_cat, x_cat @ params.fuse
+    return ids, x_cat, x_cat @ params["fuse"]
 
 
 def embed_prev(ids, params: HeadParams) -> np.ndarray:
@@ -295,12 +281,12 @@ def sequence_loss(params: HeadParams, prev_ids, targets, residual: str = "normal
 def sequence_grads(params: HeadParams, prev_ids, targets, residual: str = "normalized"):
     """Loss plus analytic gradients for every parameter array.
 
-    Returns (total, per_head, grads) with grads keyed like named_arrays().
+    Returns (total, per_head, grads) with grads keyed like params.arrays.
     """
     logits, (ids, x_cat, layers) = forward(params, prev_ids, residual)
     total, per_head = composite_loss(logits, targets)
     n, d = ids.shape[0], params.config.dim
-    grads = {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
+    grads = {name: np.zeros_like(array) for name, array in params.arrays.items()}
     df = np.zeros((n, d))
     for head in HEADS:
         h_norm, xhat, inv, u, r, out = layers[head]
@@ -310,22 +296,22 @@ def sequence_grads(params: HeadParams, prev_ids, targets, residual: str = "norma
         dz /= n
         grads[f"{head}.b_out"] += dz.sum(axis=0)
         grads[f"{head}.w_out"] += out.T @ dz
-        dout = dz @ params.w_out[head].T
-        dr = dout @ params.w_down[head].T
+        dout = dz @ params[f"{head}.w_out"].T
+        dr = dout @ params[f"{head}.w_down"].T
         grads[f"{head}.w_down"] += r.T @ dout
         du = dr * (u > 0.0)
         grads[f"{head}.w_up"] += h_norm.T @ du
-        dh = du @ params.w_up[head].T
+        dh = du @ params[f"{head}.w_up"].T
         if residual == "normalized":
             dh = dh + dout
-        dx_norm, dgain, dbias = _layer_norm_bwd(dh, params.ln_gain[head], xhat, inv)
+        dx_norm, dgain, dbias = _layer_norm_bwd(dh, params[f"{head}.ln_gain"], xhat, inv)
         grads[f"{head}.ln_gain"] += dgain
         grads[f"{head}.ln_bias"] += dbias
         df += dx_norm
         if residual == "input":
             df += dout
     grads["fuse"] += x_cat.T @ df
-    dx_cat = df @ params.fuse.T
+    dx_cat = df @ params["fuse"].T
     for column, head in enumerate(HEADS):
         np.add.at(grads[f"embed.{head}"], ids[:, column], dx_cat[:, column * d:(column + 1) * d])
     return total, per_head, grads
@@ -341,7 +327,7 @@ def finite_difference_grads(params: HeadParams, prev_ids, targets,
     hold at most FD_CHUNK_FLOATS floats.  The caller's arrays are read, never
     written.
     """
-    arrays = dict(params.named_arrays())
+    arrays = params.arrays
     # a variant's forward activations per step, about: embeddings and fused
     # features, three FFN caches, and logits with their softmax temporaries
     width = 25 * params.config.dim + 4 * sum(params.config.vocab_sizes.values())
@@ -357,7 +343,7 @@ def finite_difference_grads(params: HeadParams, prev_ids, targets,
             batch = np.tile(flat, (2, len(index), 1))  # row i of [0] raises entry index[i], of [1] lowers it
             batch[0, rows, index] += step
             batch[1, rows, index] -= step
-            variants = _from_arrays(params.config, {**arrays, name: batch.reshape(-1, *array.shape)})
+            variants = HeadParams(params.config, {**arrays, name: batch.reshape(-1, *array.shape)})
             up, down = sequence_loss(variants, prev_ids, targets, residual)[0].reshape(2, -1)
             grad[index] = (up - down) / (2.0 * step)
         grads[name] = grad.reshape(array.shape)
@@ -414,7 +400,7 @@ def grad_check(params: HeadParams, prev_ids, targets, residual: str = "normalize
         analytic[name].reshape(-1)[index] += delta
     numeric = finite_difference_grads(params, prev_ids, targets, residual, step)
     rows = []
-    for name, _ in params.named_arrays():
+    for name in params.arrays:
         a, n = analytic[name], numeric[name]
         denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), REL_ERR_FLOOR)
         rows.append((name, float((np.abs(a - n) / denom).max(initial=0.0))))
@@ -487,7 +473,7 @@ def write_params(params: HeadParams, fh) -> None:
     cfg = params.config
     fh.write(f"# vietphon head parameters v1 dim={cfg.dim} "
              f"v_init={cfg.v_init} v_rhyme={cfg.v_rhyme} v_tone={cfg.v_tone}\n")
-    for name, array in params.named_arrays():
+    for name, array in params.arrays.items():
         shape = ",".join(str(s) for s in array.shape)
         values = " ".join(repr(float(v)) for v in array.reshape(-1))
         fh.write(f"{name}\t{shape}\t{values}\n")
@@ -511,6 +497,8 @@ def load_params(path) -> HeadParams:
         arrays = {}
         for line in fh:
             name, shape, values = line.rstrip("\n").split("\t")
+            if name in arrays:
+                raise ValueError(f"parameter array {name!r} given twice")
             arrays[name] = np.array([float(v) for v in values.split()]).reshape(
                 tuple(int(s) for s in shape.split(","))
             )

@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .phonology import INITIAL_IPAS, RHYMES, Syllable, Tone
-from .tokenizer import (ABSENT, _token_syllable, closed_syllables, parse_syllable, rhyme_token,
-                        split_rhyme_token)
+from .tokenizer import ABSENT, _token_syllable, closed_syllables, parse_syllable, rhyme_token
 
 BOS = "<bos>"
 EOS = "<eos>"

@@ -216,6 +216,27 @@ class TestFilter:
         code, _, err = run(capsys, "filter", str(manifest))
         assert code == 1 and "line 1" in err
 
+    @pytest.mark.parametrize("discard", ["kept.jsonl", "sub/../kept.jsonl"])
+    def test_one_file_for_both_outputs_is_usage_error(self, discard, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text('{"id": "a", "transcript": "ba"}\n', "utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["filter", str(manifest), "-o", str(tmp_path / "kept.jsonl"), "--discard-file", discard])
+        assert exc.value.code == 2
+        assert "--discard-file" in capsys.readouterr().err
+        assert not (tmp_path / "kept.jsonl").exists()
+
+    def test_both_outputs_to_stdout(self, capsys, tmp_path):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text('{"id": "a", "transcript": "ba"}\n{"id": "b", "transcript": "okay"}\n', "utf-8")
+        code, out, err = run(capsys, "filter", str(manifest), "-o", "-", "--discard-file", "-")
+        assert code == 0, err
+        kept, discarded, stats_text = out.split("\n", 2)
+        assert json.loads(kept)["id"] == "a" and json.loads(discarded)["id"] == "b"
+        assert json.loads(stats_text)["overall"]["flagged"] == 1
+
 
 class TestDemoHead:
     def test_small_suite(self, capsys):
@@ -237,6 +258,8 @@ class TestDemoHead:
     @pytest.mark.parametrize("argv, golden", [
         (["--configs", "100"], "demo_head_100.out"),
         (["--configs", "20", "--residual", "input"], "demo_head_20_input.out"),
+        (["--configs", "0", "--dump-params", "-"], "demo_head_params.txt"),
+        (["--load-params", str(DATA / "demo_head_params.txt")], "demo_head_load_params.out"),
     ])
     def test_report_is_golden(self, argv, golden, capsys):
         code, out, _ = run(capsys, "demo-head", *argv)
@@ -325,6 +348,9 @@ def _files(tmp_path):
         nan_array=write("nan.txt", "".join(re.sub(r"^(fuse\t\S+\t)\S+", r"\1nan", l) for l in lines)),
         no_init_id=str(no_init_id),
         dim_zero=write("dim0.txt", dim_zero),
+        unknown_array=write("unknown.txt", "".join(lines) + "bogus\t2\t1.0 2.0\n"),
+        repeated_array=write("repeated.txt", "".join(lines) + lines[1]),
+        id_int=write("id_int.jsonl", '{"id": "a", "transcript": "ba"}\n{"id": 1, "transcript": ["ba"]}\n'),
         kept_manifest=write("kept_m.jsonl", '{"id": "a", "transcript": "ba"}\n'),
         deep=write("deep.jsonl", "[" * 100_000 + "\n"),
         long_id=write("long_id.jsonl", '{"id": ' + "1" * 5000 + ', "transcript": "ba"}\n'),
@@ -368,6 +394,11 @@ ERROR_CASES = {
     "demo-head non-finite": lambda f: (["demo-head", "--load-params", f.nan_array], [f.nan_array], None),
     "demo-head empty space": lambda f: (["demo-head", "--load-params", f.no_init_id], [f.no_init_id], None),
     "demo-head dim zero": lambda f: (["demo-head", "--load-params", f.dim_zero], [f.dim_zero, "dim"], None),
+    "demo-head unknown array": lambda f: (
+        ["demo-head", "--load-params", f.unknown_array], [f.unknown_array, "bogus"], None),
+    "demo-head repeated array": lambda f: (
+        ["demo-head", "--load-params", f.repeated_array], [f.repeated_array, "fuse"], None),
+    "filter id not a string": lambda f: (["filter", f.id_int], [f.id_int, "line 2", "'id'"], None),
     "tokenize -o full": lambda f: (["tokenize", f.text, "-o", FULL], [FULL], None),
     "detokenize -o full": lambda f: (["detokenize", f.tokens, "-o", FULL], [FULL], None),
     "filter -o full": lambda f: (["filter", f.kept_manifest, "-o", FULL], [FULL], None),

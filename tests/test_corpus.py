@@ -94,6 +94,22 @@ class TestManifest:
         with pytest.raises(MalformedManifestLine):
             load_manifest(['{"id": "a"}'])
 
+    @pytest.mark.parametrize("record, name", [
+        ({"id": 1, "transcript": "ba"}, "id"),
+        ({"id": "a", "transcript": ["ba"]}, "transcript"),
+        ({"id": "a", "transcript": None}, "transcript"),
+        ({"id": "a", "transcript": "ba", "split": None}, "split"),
+        ({"id": "a", "transcript": "ba", "split": 2}, "split"),
+    ])
+    def test_mistyped_field_is_named(self, record, name):
+        with pytest.raises(MalformedManifestLine, match=f"'{name}'") as exc:
+            load_manifest(['{"id": "a", "transcript": "ba"}', json.dumps(record)])
+        assert exc.value.line_number == 2
+
+    def test_string_fields_written_back_as_read(self):
+        line = json.dumps({"id": "1", "transcript": "ba mẹ", "split": "dev"}, ensure_ascii=False)
+        assert load_manifest([line])[0].to_json() == line
+
     def test_all_vietnamese_discards_nothing(self, lexicon):
         records = load_manifest(self._lines([" ".join(lexicon[:5])] * 4))
         kept, discarded, stats = filter_manifest(records)

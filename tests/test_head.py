@@ -29,7 +29,6 @@ from vietphon.head import (
     sequence_loss,
     softmax,
     toy_batch,
-    zero_params,
 )
 
 CONFIG = HeadConfig(dim=4, v_init=7, v_rhyme=9)
@@ -60,7 +59,7 @@ def reference_ffn(f, gain, bias, w_up, w_down, residual="normalized", eps=1e-5):
 class TestFfn:
     def test_zero_branch_reduces_to_layer_norm(self, params):
         f = np.arange(4, dtype=float)
-        gain, bias = params.ln_gain["init"], params.ln_bias["init"]
+        gain, bias = params["init.ln_gain"], params["init.ln_bias"]
         out = ffn_forward(f, gain, bias, np.zeros((4, 8)), np.zeros((8, 4)))
         assert np.array_equal(out, layer_norm(f, gain, bias))
 
@@ -75,24 +74,24 @@ class TestFfn:
         rng = np.random.default_rng(7)
         f = rng.normal(size=4)
         for residual in ("normalized", "input"):
-            got = ffn_forward(f, params.ln_gain["tone"], params.ln_bias["tone"],
-                              params.w_up["tone"], params.w_down["tone"], residual)
-            want = reference_ffn(f.tolist(), params.ln_gain["tone"].tolist(),
-                                 params.ln_bias["tone"].tolist(),
-                                 params.w_up["tone"].tolist(),
-                                 params.w_down["tone"].tolist(), residual)
+            got = ffn_forward(f, params["tone.ln_gain"], params["tone.ln_bias"],
+                              params["tone.w_up"], params["tone.w_down"], residual)
+            want = reference_ffn(f.tolist(), params["tone.ln_gain"].tolist(),
+                                 params["tone.ln_bias"].tolist(),
+                                 params["tone.w_up"].tolist(),
+                                 params["tone.w_down"].tolist(), residual)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_non_finite_input(self, params):
         with pytest.raises(NonFiniteInput):
             ffn_forward(np.array([1.0, np.nan, 0.0, 0.0]),
-                        params.ln_gain["init"], params.ln_bias["init"],
-                        params.w_up["init"], params.w_down["init"])
+                        params["init.ln_gain"], params["init.ln_bias"],
+                        params["init.w_up"], params["init.w_down"])
 
     def test_unknown_residual_mode(self, params):
         with pytest.raises(ValueError):
-            ffn_forward(np.zeros(4), params.ln_gain["init"], params.ln_bias["init"],
-                        params.w_up["init"], params.w_down["init"], residual="raw")
+            ffn_forward(np.zeros(4), params["init.ln_gain"], params["init.ln_bias"],
+                        params["init.w_up"], params["init.w_down"], residual="raw")
 
 
 class TestHeadLogits:
@@ -105,8 +104,8 @@ class TestHeadLogits:
     def test_heads_are_independent(self, params):
         f = np.linspace(-1, 1, 4)
         before = head_logits(f, params)
-        params.w_up["tone"] += 0.5
-        params.b_out["tone"] += 1.0
+        params.arrays["tone.w_up"] += 0.5
+        params.arrays["tone.b_out"] += 1.0
         after = head_logits(f, params)
         assert np.array_equal(before["init"], after["init"])
         assert np.array_equal(before["rhyme"], after["rhyme"])
@@ -120,13 +119,13 @@ class TestHeadLogits:
         f = np.random.default_rng(3).normal(size=4)
         logits = head_logits(f, params, residual="normalized")
         for head in HEADS:
-            ffn_out = reference_ffn(f.tolist(), params.ln_gain[head].tolist(),
-                                    params.ln_bias[head].tolist(),
-                                    params.w_up[head].tolist(),
-                                    params.w_down[head].tolist())
+            ffn_out = reference_ffn(f.tolist(), params[f"{head}.ln_gain"].tolist(),
+                                    params[f"{head}.ln_bias"].tolist(),
+                                    params[f"{head}.w_up"].tolist(),
+                                    params[f"{head}.w_down"].tolist())
             want = [
-                sum(ffn_out[i] * params.w_out[head][i][j] for i in range(4))
-                + params.b_out[head][j]
+                sum(ffn_out[i] * params[f"{head}.w_out"][i][j] for i in range(4))
+                + params[f"{head}.b_out"][j]
                 for j in range(params.config.vocab_sizes[head])
             ]
             np.testing.assert_allclose(logits[head], want, rtol=1e-12, atol=1e-12)
@@ -135,15 +134,15 @@ class TestHeadLogits:
 class TestEmbedPrev:
     def test_block_identity_fusion_sums_embeddings(self, params):
         d = CONFIG.dim
-        params.fuse = np.vstack([2.0 * np.eye(d), 3.0 * np.eye(d), 5.0 * np.eye(d)])
+        params.arrays["fuse"] = np.vstack([2.0 * np.eye(d), 3.0 * np.eye(d), 5.0 * np.eye(d)])
         out = embed_prev((1, 2, 3), params)
-        want = (2.0 * params.embed["init"][1] + 3.0 * params.embed["rhyme"][2]
-                + 5.0 * params.embed["tone"][3])
+        want = (2.0 * params["embed.init"][1] + 3.0 * params["embed.rhyme"][2]
+                + 5.0 * params["embed.tone"][3])
         np.testing.assert_allclose(out, want, rtol=1e-12)
 
     def test_row_swap_affects_only_those_ids(self, params):
         base = {ids: embed_prev(ids, params) for ids in ((0, 2, 0), (0, 5, 0), (0, 3, 0))}
-        params.embed["rhyme"][[2, 5]] = params.embed["rhyme"][[5, 2]]
+        params["embed.rhyme"][[2, 5]] = params["embed.rhyme"][[5, 2]]
         np.testing.assert_array_equal(embed_prev((0, 2, 0), params), base[(0, 5, 0)])
         np.testing.assert_array_equal(embed_prev((0, 5, 0), params), base[(0, 2, 0)])
         np.testing.assert_array_equal(embed_prev((0, 3, 0), params), base[(0, 3, 0)])
@@ -152,7 +151,7 @@ class TestEmbedPrev:
         rng = np.random.default_rng(11)
         perm = rng.permutation(CONFIG.v_init)
         permuted = init_params(CONFIG, seed=42)
-        permuted.embed["init"] = params.embed["init"][perm]
+        permuted.arrays["embed.init"] = params["embed.init"][perm]
         for original_id in range(CONFIG.v_init):
             new_id = int(np.where(perm == original_id)[0][0])
             np.testing.assert_array_equal(
@@ -219,7 +218,7 @@ class TestGradients:
             assert report.passed, (residual, report.max_rel_err)
 
     def test_all_zero_parameters(self):
-        params = zero_params(HeadConfig(dim=3, v_init=4, v_rhyme=5))
+        params = init_params(HeadConfig(dim=3, v_init=4, v_rhyme=5), scale=0.0)
         ids = [[0, 0, 0], [1, 2, 3]]
         targets = {"init": [0, 1], "rhyme": [2, 0], "tone": [5, 1]}
         report = grad_check(params, ids, targets)
@@ -243,7 +242,7 @@ class TestGradients:
     def test_loss_decreases_along_negative_gradient(self):
         params, ids, targets = toy_batch(seed=4)
         loss, _, grads = sequence_grads(params, ids, targets)
-        for name, array in params.named_arrays():
+        for name, array in params.arrays.items():
             array -= 0.05 * grads[name]
         new_loss, _ = sequence_loss(params, ids, targets)
         assert new_loss < loss
@@ -261,7 +260,7 @@ class TestGradients:
         bad_ids[0, 0] = -1
         with pytest.raises(IdOutOfRange):
             sequence_grads(params, bad_ids, targets)
-        params.embed["init"][:] = np.nan
+        params["embed.init"][:] = np.nan
         with pytest.raises(NonFiniteInput):
             sequence_grads(params, ids, targets)
 
@@ -278,7 +277,7 @@ class TestGradients:
         numeric = finite_difference_grads(params, ids, targets)
         _, _, analytic = sequence_grads(params, ids, targets)
         worst = max(
-            np.max(np.abs(analytic[name] - numeric[name])) for name, _ in params.named_arrays()
+            np.max(np.abs(analytic[name] - numeric[name])) for name, _ in params.arrays.items()
         )
         assert worst < 1e-6
 
@@ -289,7 +288,7 @@ def reference_finite_difference_grads(params, prev_ids, targets, residual="norma
     Perturbs the caller's arrays in place and restores every entry it touched.
     """
     grads = {}
-    for name, array in params.named_arrays():
+    for name, array in params.arrays.items():
         grad = np.zeros_like(array)
         flat = array.reshape(-1)
         gflat = grad.reshape(-1)
@@ -308,16 +307,16 @@ def reference_finite_difference_grads(params, prev_ids, targets, residual="norma
 def variants(params, names, count, seed):
     """params with each named array stacked into count seeded variants, and the
     count unbatched HeadParams those rows stand for."""
-    rows = [dict(params.named_arrays()) for _ in range(count)]
+    rows = [dict(params.arrays) for _ in range(count)]
     for k, row in enumerate(rows):
-        drawn = dict(init_params(params.config, seed=seed + k).named_arrays())
+        drawn = dict(init_params(params.config, seed=seed + k).arrays)
         row.update({name: drawn[name] for name in names})
     stacked = {name: np.stack([row[name] for row in rows]) if name in names else array
-               for name, array in params.named_arrays()}
-    return head._from_arrays(params.config, stacked), [head._from_arrays(params.config, row) for row in rows]
+               for name, array in params.arrays.items()}
+    return head.HeadParams(params.config, stacked), [head.HeadParams(params.config, row) for row in rows]
 
 
-PARAM_NAMES = [name for name, _ in init_params(CONFIG).named_arrays()]
+PARAM_NAMES = list(init_params(CONFIG).arrays)
 
 
 class TestBatchedFiniteDifferences:
@@ -333,9 +332,9 @@ class TestBatchedFiniteDifferences:
 
     def test_leaves_the_arrays_alone(self):
         params, ids, targets = toy_batch(seed=6)
-        before = {name: array.copy() for name, array in params.named_arrays()}
+        before = {name: array.copy() for name, array in params.arrays.items()}
         want = finite_difference_grads(params, ids, targets)
-        for name, array in params.named_arrays():
+        for name, array in params.arrays.items():
             assert np.array_equal(array, before[name]), name
             array.flags.writeable = False
         got = finite_difference_grads(params, ids, targets)
@@ -403,7 +402,7 @@ class TestBatchedForward:
         bad_ids[0, 0] = -1
         with pytest.raises(IdOutOfRange):
             sequence_loss(batched, bad_ids, targets)
-        batched.fuse[1, 0, 0] = np.nan
+        batched["fuse"][1, 0, 0] = np.nan
         with pytest.raises(NonFiniteInput):
             sequence_loss(batched, ids, targets)
 
@@ -413,7 +412,7 @@ class TestParamsIo:
         path = tmp_path / "params.txt"
         save_params(params, path)
         loaded = load_params(path)
-        for (name, array), (name2, array2) in zip(params.named_arrays(), loaded.named_arrays()):
+        for (name, array), (name2, array2) in zip(params.arrays.items(), loaded.arrays.items()):
             assert name == name2
             np.testing.assert_array_equal(array, array2)
 
@@ -451,6 +450,6 @@ class TestParamsIo:
     def test_seeded_init_reproducible(self):
         a = init_params(CONFIG, seed=13)
         b = init_params(CONFIG, seed=13)
-        for (_, x), (_, y) in zip(a.named_arrays(), b.named_arrays()):
+        for (_, x), (_, y) in zip(a.arrays.items(), b.arrays.items()):
             np.testing.assert_array_equal(x, y)
-        assert float(np.abs(a.fuse).max()) <= 0.1
+        assert float(np.abs(a["fuse"]).max()) <= 0.1

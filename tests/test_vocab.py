@@ -1,7 +1,7 @@
 import pytest
 
 from vietphon.phonology import RHYMES, Syllable, Tone
-from vietphon.tokenizer import parse_syllable
+from vietphon.tokenizer import parse_syllable, split_rhyme_token
 from vietphon.vocab import (
     CONTROL_TOKENS,
     DESIGN_COUNTS,
@@ -12,7 +12,6 @@ from vietphon.vocab import (
     load_vocab,
     rhyme_token,
     save_vocab,
-    split_rhyme_token,
     vocab_report,
 )
 
