@@ -242,10 +242,12 @@ def _cmd_demo_head(args) -> int:
             head.write_params(params, out)
     if args.load_params:
         try:
-            params = head.load_params(args.load_params)
+            params = head.load_params(_read_lines(args.load_params))
             report = head.grad_check(params, [[0, 0, 0]], {h: [0] for h in head.HEADS}, residual=args.residual)
-        except (OSError, ValueError, IndexError) as exc:  # IndexError: a space with no id 0
-            raise DataError(f"{args.load_params}: {exc}") from None
+        except head.MalformedParamLine as exc:
+            raise DataError(f"{_source(args.load_params)}:{exc.line_number}: {exc}") from None
+        except (ValueError, IndexError) as exc:  # IndexError: a space with no id 0
+            raise DataError(f"{_source(args.load_params)}: {exc}") from None
         print(json.dumps(report.as_dict(), indent=2), file=report_to)
         return 0 if report.passed else 1
     summary = head.run_grad_suite(
@@ -314,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=FLAG_DEFAULTS["residual"])
     p.add_argument("--dump-params", default=None,
                    help='write a seeded toy parameter file ("-": stdout, report to stderr)')
-    p.add_argument("--load-params", default=None, help="gradient-check a parameter file")
+    p.add_argument("--load-params", default=None, help='gradient-check a parameter file ("-": stdin)')
     p.set_defaults(func=_cmd_demo_head)
 
     return parser

@@ -77,7 +77,7 @@ def offending_words(transcript: str) -> list[str]:
 class TranscriptRecord:
     utterance_id: str
     transcript: str
-    split: str = ""
+    split: str | None = None  # absent from the manifest line, unlike an empty split
     verdict: str = ""  # "vietnamese" | "contains_non_vietnamese"
     offending: list[str] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
@@ -89,7 +89,7 @@ class TranscriptRecord:
 
     def to_json(self) -> str:
         payload = {"id": self.utterance_id, "transcript": self.transcript}
-        if self.split:
+        if self.split is not None:
             payload["split"] = self.split
         payload.update(self.extras)
         if self.verdict == "contains_non_vietnamese":
@@ -113,7 +113,7 @@ def parse_manifest_line(line: str, line_number: int) -> TranscriptRecord:
     return TranscriptRecord(
         utterance_id=payload.pop("id"),
         transcript=payload.pop("transcript"),
-        split=payload.pop("split", ""),
+        split=payload.pop("split", None),
         extras=payload,
     )
 

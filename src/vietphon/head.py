@@ -53,6 +53,14 @@ class LengthMismatch(ValueError):
     pass
 
 
+class MalformedParamLine(ValueError):
+    """A parameter file line that does not read; line_number counts from 1."""
+
+    def __init__(self, line_number: int, reason: str):
+        super().__init__(reason)
+        self.line_number = line_number
+
+
 @dataclass(frozen=True)
 class HeadConfig:
     dim: int
@@ -133,10 +141,6 @@ def _layer_norm_fwd(x, gain, bias):
     return gain * xhat + bias, xhat, inv
 
 
-def layer_norm(x, gain, bias):
-    return _layer_norm_fwd(np.asarray(x, float), gain, bias)[0]
-
-
 def _layer_norm_bwd(dy, gain, xhat, inv):
     d = xhat.shape[-1]
     dgain = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
@@ -161,35 +165,20 @@ def _over_steps(vector):
 
 
 def _ffn(f, gain, bias, w_up, w_down, residual) -> FfnCache:
-    """The FFN head body on checked input, shared by every forward entry."""
+    """One head's layer norm and rectified two-layer map on checked input; the branch output
+    is added to the normalized vector (residual="normalized", the reference) or to f ("input")."""
     h, xhat, inv = _layer_norm_fwd(f, _over_steps(gain), _over_steps(bias))
     u = h @ w_up
     r = np.maximum(u, 0.0)
     return FfnCache(h, xhat, inv, u, r, (h if residual == "normalized" else f) + r @ w_down)
 
 
-def _checked_features(f, residual):
-    f = np.asarray(f, float)
-    if not np.all(np.isfinite(f)):
+def _run_heads(f_dec, params: HeadParams, residual: str):
+    """Checked features through every head: (logits, head -> FfnCache)."""
+    if not np.all(np.isfinite(f_dec)):
         raise NonFiniteInput("non-finite values in FFN input")
     if residual not in ("normalized", "input"):
         raise ValueError(f"unknown residual mode: {residual!r}")
-    return f
-
-
-def ffn_forward(f, gain, bias, w_up, w_down, residual: str = "normalized"):
-    """Layer norm followed by the residual rectified two-layer map.
-
-    residual="normalized" adds the branch output to the normalized vector,
-    following the reassignment sequence of the reference description;
-    residual="input" adds it to the raw input instead.
-    """
-    return _ffn(_checked_features(f, residual), gain, bias, w_up, w_down, residual).out
-
-
-def _run_heads(f_dec, params: HeadParams, residual: str):
-    """Checked features through every head: (logits, head -> FfnCache)."""
-    f_dec = _checked_features(f_dec, residual)
     if f_dec.shape[-1] != params.config.dim:
         raise ShapeMismatch(f"feature dim {f_dec.shape[-1]} != model dim {params.config.dim}")
     logits, layers = {}, {}
@@ -198,11 +187,6 @@ def _run_heads(f_dec, params: HeadParams, residual: str):
                             params[f"{head}.w_up"], params[f"{head}.w_down"], residual)
         logits[head] = layers[head].out @ params[f"{head}.w_out"] + _over_steps(params[f"{head}.b_out"])
     return logits, layers
-
-
-def head_logits(f_dec, params: HeadParams, residual: str = "normalized") -> dict[str, np.ndarray]:
-    """Per-head logits for a decoder feature vector (or a batch of them)."""
-    return _run_heads(f_dec, params, residual)[0]
 
 
 def _embed(ids, params: HeadParams):
@@ -218,12 +202,6 @@ def _embed(ids, params: HeadParams):
     rows = [np.take(params[f"embed.{head}"], ids[:, column], axis=-2) for column, head in enumerate(HEADS)]
     x_cat = np.concatenate(np.broadcast_arrays(*rows), axis=-1)
     return ids, x_cat, x_cat @ params["fuse"]
-
-
-def embed_prev(ids, params: HeadParams) -> np.ndarray:
-    """Embed an (init, rhyme, tone) id triple (or batch), concatenate, fuse."""
-    fused = _embed(ids, params)[2]
-    return fused[0] if np.asarray(ids).ndim == 1 else fused
 
 
 def forward(params: HeadParams, prev_ids, residual: str = "normalized"):
@@ -468,10 +446,13 @@ def run_grad_suite(n_configs: int = 100, base_seed: int = 0, step: float = 1e-5,
 # Parameter dump/load: flat text, name / shape / row-major values
 # ---------------------------------------------------------------------------
 
+_HEADER = "# vietphon head parameters v1"
+
+
 def write_params(params: HeadParams, fh) -> None:
     """The parameter file text, header then one array a line, to an open text file."""
     cfg = params.config
-    fh.write(f"# vietphon head parameters v1 dim={cfg.dim} "
+    fh.write(f"{_HEADER} dim={cfg.dim} "
              f"v_init={cfg.v_init} v_rhyme={cfg.v_rhyme} v_tone={cfg.v_tone}\n")
     for name, array in params.arrays.items():
         shape = ",".join(str(s) for s in array.shape)
@@ -479,27 +460,39 @@ def write_params(params: HeadParams, fh) -> None:
         fh.write(f"{name}\t{shape}\t{values}\n")
 
 
-def save_params(params: HeadParams, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        write_params(params, fh)
-
-
-def load_params(path) -> HeadParams:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("# vietphon head parameters v1"):
+def load_params(lines) -> HeadParams:
+    """HeadParams from the list of lines of a parameter file (see write_params), checked by _assemble.
+    A line that does not read raises MalformedParamLine; the header gives each HeadConfig field once."""
+    names = [f.name for f in dataclasses.fields(HeadConfig)]
+    line_number, array_name, fields, arrays = 1, "", {}, {}
+    try:
+        words = lines[0].split() if lines else []
+        if words[:5] != _HEADER.split():
             raise ValueError("not a head parameter file")
-        fields = dict(part.split("=") for part in header.split()[5:])
-        try:
-            config = HeadConfig(**{f.name: int(fields[f.name]) for f in dataclasses.fields(HeadConfig)})
-        except KeyError as exc:
-            raise ValueError(f"header field {exc.args[0]!r} missing") from None
-        arrays = {}
-        for line in fh:
-            name, shape, values = line.rstrip("\n").split("\t")
-            if name in arrays:
-                raise ValueError(f"parameter array {name!r} given twice")
-            arrays[name] = np.array([float(v) for v in values.split()]).reshape(
-                tuple(int(s) for s in shape.split(","))
-            )
-    return _assemble(config, arrays)
+        for name, _, value in (word.partition("=") for word in words[5:]):
+            if name not in names:
+                raise ValueError(f"unknown header field {name!r}")
+            if name in fields:
+                raise ValueError(f"header field {name!r} given twice")
+            if not value.removeprefix("-").isdecimal():
+                raise ValueError(f"header field {name!r}: expected an integer, got {value!r}")
+            fields[name] = int(value)
+        for name in names:
+            if name not in fields:
+                raise ValueError(f"header field {name!r} missing")
+        for line_number, line in enumerate(lines[1:], start=2):
+            array_name, *rest = line.split("\t")
+            if len(rest) != 2:
+                raise ValueError(f"expected 3 tab-separated fields, got {len(rest) + 1}")
+            if array_name in arrays:
+                raise ValueError("given twice")
+            shape, values = rest
+            if not all(n.isdecimal() for n in shape.split(",")):
+                raise ValueError(f"shape {shape!r} is not comma-separated integers")
+            array = np.array([float(v) for v in values.split()])
+            if not np.all(np.isfinite(array)):
+                raise ValueError("non-finite values")
+            arrays[array_name] = array.reshape(tuple(int(n) for n in shape.split(",")))
+    except ValueError as exc:
+        raise MalformedParamLine(line_number, f"{array_name}: {exc}" if array_name else str(exc)) from None
+    return _assemble(HeadConfig(**fields), arrays)

@@ -9,30 +9,25 @@ are immutable after import and safe for concurrent reads.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 RULES_VERSION = "1"
 
 
 class Tone(enum.Enum):
-    """The six lexical tones, keyed by name and combining mark.
+    """The six lexical tones, keyed by name and combining mark."""
 
-    Contour strings are IPA tone letters; the flat tone carries the
-    conventional mid-level contour since it is written with no mark.
-    """
+    FLAT = ("Flat", "")
+    LOW_FALLING = ("LowFalling", "̀")
+    MID_RAISING = ("MidRaising", "́")
+    MID_FALLING = ("MidFalling", "̉")
+    MID_GLOTTALIZED_FALLING = ("MidGlottalizedFalling", "̃")
+    MID_GLOTTALIZED_RAISING = ("MidGlottalizedRaising", "̣")
 
-    FLAT = ("Flat", "", "˧˧")
-    LOW_FALLING = ("LowFalling", "̀", "˨˨˩˩")
-    MID_RAISING = ("MidRaising", "́", "˧˧˥˥")
-    MID_FALLING = ("MidFalling", "̉", "˧˧˩˩")
-    MID_GLOTTALIZED_FALLING = ("MidGlottalizedFalling", "̃", "˧˧ʔ˥˥")
-    MID_GLOTTALIZED_RAISING = ("MidGlottalizedRaising", "̣", "˧˧ʔ˩˩")
-
-    def __init__(self, label: str, mark: str, contour: str):
+    def __init__(self, label: str, mark: str):
         self.label = label
         self.mark = mark
-        self.contour = contour
 
     @classmethod
     def from_label(cls, label: str) -> "Tone":
@@ -65,7 +60,6 @@ class GraphemeRule:
     kind: str = ""  # "monophthong" / "diphthong" for vowels, "" otherwise
     context: str = ""  # context tag; "" means unconditional
     tag: str = "core"
-    note: str = ""
 
     @property
     def match_priority(self) -> int:
@@ -86,7 +80,7 @@ def _load_rules() -> tuple[GraphemeRule, ...]:
             version = line.split(":", 1)[1].strip()
         if not line or line.startswith("#"):
             continue
-        cls, kind, form, ipa, context, tag, note = line.split("\t")
+        cls, kind, form, ipa, context, tag, _note = line.split("\t")
         rules.append(
             GraphemeRule(
                 written_form=form,
@@ -95,7 +89,6 @@ def _load_rules() -> tuple[GraphemeRule, ...]:
                 kind="" if kind == "-" else kind,
                 context="" if context == "-" else context,
                 tag=tag,
-                note="" if note == "-" else note,
             )
         )
     if version != RULES_VERSION:

@@ -64,7 +64,6 @@ class NormalizedWord:
 @dataclass(frozen=True)
 class ParseResult:
     syllable: Syllable
-    residue: str  # empty on success
     graphemes: tuple[str, str, str, str] = ("", "", "", "")  # matched written forms
 
 
@@ -132,7 +131,8 @@ _CONTEXTS = {
 def _match_class(word: str, phoneme_class: PhonemeClass, stats: ParseStats | None):
     """First matching rule of one class: (rule, remainder), or (None, word).
 
-    A final must be the whole word: one lookup, not a prefix scan.
+    A final must be the whole word: one lookup, not a prefix scan.  Other
+    classes scan only the rules that share the word's first letter.
     """
     if phoneme_class is PhonemeClass.FINAL:
         if stats is not None:
@@ -152,18 +152,6 @@ def _match_class(word: str, phoneme_class: PhonemeClass, stats: ParseStats | Non
             continue
         return rule, word[len(rule.written_form):]
     return None, word
-
-
-def match_component(word: str, phoneme_class: PhonemeClass,
-                    stats: ParseStats | None = None) -> tuple[str | None, str]:
-    """Longest-prefix rule match in one class: (phoneme, remainder).
-
-    Returns (None, word) unchanged when no rule matches.  Candidates are
-    indexed by first letter, so the scan is bounded by the largest bucket
-    regardless of input size.
-    """
-    rule, rest = _match_class(word, phoneme_class, stats)
-    return (None if rule is None else rule.ipa), rest
 
 
 def parse_syllable(word: str, stats: ParseStats | None = None) -> ParseResult:
@@ -224,7 +212,6 @@ def parse_syllable(word: str, stats: ParseStats | None = None) -> ParseResult:
             raise ParseFailure(word, "; ".join(problems))
         return ParseResult(
             syllable=syllable,
-            residue="",
             graphemes=(
                 init_rule.written_form if init_rule else "",
                 glide_rule.written_form if glide_rule else "",
@@ -410,11 +397,6 @@ ABSENT = "∅"
 
 def rhyme_token(glide: str | None, vowel: str, final: str | None) -> str:
     return f"{glide or ABSENT}|{vowel}|{final or ABSENT}"
-
-
-def split_rhyme_token(token: str) -> tuple[str | None, str, str | None]:
-    glide, vowel, final = token.split("|")
-    return (None if glide == ABSENT else glide, vowel, None if final == ABSENT else final)
 
 
 def _token_syllable(initial: str, glide: str, vowel: str, final: str, tone: str) -> Syllable:

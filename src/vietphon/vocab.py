@@ -156,12 +156,6 @@ def write_vocab(vocab: Vocabulary, fh) -> None:
             fh.write(f"{space}\t{token_id}\t{token}\n")
 
 
-def save_vocab(vocab: Vocabulary, path) -> None:
-    """write_vocab to a file, UTF-8 with LF line ends: bit-exact across platforms."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        write_vocab(vocab, fh)
-
-
 def load_vocab(path) -> Vocabulary:
     spaces: dict[str, list[str]] = {name: [] for name in SPACE_NAMES}
     with open(path, encoding="utf-8") as fh:

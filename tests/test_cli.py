@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import vietphon
 from vietphon.cli import FLAG_DEFAULTS, build_parser, main
-from vietphon.head import HeadConfig, init_params, save_params
+from vietphon.head import HeadConfig, init_params, write_params
 from vietphon.vocab import load_vocab
 
 #: a device whose every write fails with ENOSPC (Linux)
@@ -280,6 +280,18 @@ class TestDemoHead:
         assert code == 0
         assert json.loads(out)["passed"]
 
+    def test_params_from_stdin(self, capsys, monkeypatch):
+        params = (DATA / "demo_head_params.txt").read_bytes()
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(params), encoding="utf-8"))
+        code, out, _ = run(capsys, "demo-head", "--load-params", "-")
+        assert code == 0
+        assert out == (DATA / "demo_head_load_params.out").read_text("utf-8")
+
+    def test_missing_params_file_reads_like_other_inputs(self, capsys, tmp_path):
+        missing = str(tmp_path / "nope.txt")
+        load_err = run(capsys, "demo-head", "--load-params", missing)[2]
+        assert load_err == run(capsys, "tokenize", missing)[2] == f"error: {missing}: No such file or directory\n"
+
 
 class TestDefaults:
     def test_flag_defaults_snapshot(self):
@@ -312,6 +324,13 @@ class TestDefaults:
         assert len(outputs) == 1
 
 
+def _param_text(config):
+    """The parameter file text of init_params(config)."""
+    out = io.StringIO()
+    write_params(init_params(config), out)
+    return out.getvalue()
+
+
 def _files(tmp_path):
     """Inputs for the error cases: good files, bad files and an unwritable path."""
 
@@ -320,11 +339,8 @@ def _files(tmp_path):
         path.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
         return str(path)
 
-    params = tmp_path / "params.txt"
-    save_params(init_params(HeadConfig(dim=4, v_init=8, v_rhyme=10)), params)
-    no_init_id = tmp_path / "v_init0.txt"  # an initial space with no id 0
-    save_params(init_params(HeadConfig(dim=4, v_init=0, v_rhyme=10)), no_init_id)
-    lines = params.read_text("utf-8").splitlines(keepends=True)
+    text = _param_text(HeadConfig(dim=4, v_init=8, v_rhyme=10))
+    lines = text.splitlines(keepends=True)
     sizes = {"init": 8, "rhyme": 10, "tone": 6}
     dim_zero = "".join([  # by hand: init_params refuses dim=0
         "# vietphon head parameters v1 dim=0 v_init=8 v_rhyme=10 v_tone=6\n",
@@ -346,10 +362,23 @@ def _files(tmp_path):
         header_only=write("header.txt", "# vietphon head parameters v1\n"),
         no_array=write("partial.txt", "".join(l for l in lines if not l.startswith("rhyme.w_up\t"))),
         nan_array=write("nan.txt", "".join(re.sub(r"^(fuse\t\S+\t)\S+", r"\1nan", l) for l in lines)),
-        no_init_id=str(no_init_id),
+        no_init_id=write("v_init0.txt", _param_text(HeadConfig(dim=4, v_init=0, v_rhyme=10))),  # no initial id 0
         dim_zero=write("dim0.txt", dim_zero),
-        unknown_array=write("unknown.txt", "".join(lines) + "bogus\t2\t1.0 2.0\n"),
-        repeated_array=write("repeated.txt", "".join(lines) + lines[1]),
+        unknown_array=write("unknown.txt", text + "bogus\t2\t1.0 2.0\n"),
+        repeated_array=write("repeated.txt", text + lines[1]),
+        header_extra=write("header_extra.txt", text.replace(" v_tone=6", " v_tone=6 foo=3", 1)),
+        header_twice=write("header_twice.txt", text.replace("dim=4", "dim=4 dim=5", 1)),
+        header_junk=write("header_junk.txt", text.replace(" v_tone=6", " v_tone=6 junk", 1)),
+        header_float=write("header_float.txt", text.replace("dim=4", "dim=4.0", 1)),
+        header_bare=write("header_bare.txt", text.replace("dim=4", "dim", 1)),
+        name_alone=write("name_alone.txt", text.replace(lines[1], "fuse\n")),
+        empty_line=write("empty_line.txt", text + "\n"),
+        bad_shape=write("bad_shape.txt", text.replace("fuse\t12,4", "fuse\t12,x")),
+        negative_shape=write("negative_shape.txt", text.replace("fuse\t12,4", "fuse\t-1,4")),
+        unfilled_shape=write("unfilled_shape.txt", text.replace("fuse\t12,4", "fuse\t4,4")),
+        bad_value=write("bad_value.txt", re.sub(r"(?m)^(fuse\t\S+\t)\S+", r"\1abc", text)),
+        inf_value=write("inf_value.txt", re.sub(r"(?m)^(fuse\t\S+\t)\S+", r"\g<1>1e999", text)),
+        bad_params=write("bad_params.txt", text.encode("utf-8").replace(b"embed.init", b"embed.\xff")),
         id_int=write("id_int.jsonl", '{"id": "a", "transcript": "ba"}\n{"id": 1, "transcript": ["ba"]}\n'),
         kept_manifest=write("kept_m.jsonl", '{"id": "a", "transcript": "ba"}\n'),
         deep=write("deep.jsonl", "[" * 100_000 + "\n"),
@@ -391,13 +420,40 @@ ERROR_CASES = {
         ["demo-head", "--load-params", f.header_only], [f.header_only, "dim"], None),
     "demo-head array missing": lambda f: (
         ["demo-head", "--load-params", f.no_array], [f.no_array, "rhyme.w_up"], None),
-    "demo-head non-finite": lambda f: (["demo-head", "--load-params", f.nan_array], [f.nan_array], None),
+    "demo-head non-finite": lambda f: (
+        ["demo-head", "--load-params", f.nan_array], [f"{f.nan_array}:2: fuse: non-finite"], None),
     "demo-head empty space": lambda f: (["demo-head", "--load-params", f.no_init_id], [f.no_init_id], None),
     "demo-head dim zero": lambda f: (["demo-head", "--load-params", f.dim_zero], [f.dim_zero, "dim"], None),
     "demo-head unknown array": lambda f: (
         ["demo-head", "--load-params", f.unknown_array], [f.unknown_array, "bogus"], None),
     "demo-head repeated array": lambda f: (
-        ["demo-head", "--load-params", f.repeated_array], [f.repeated_array, "fuse"], None),
+        ["demo-head", "--load-params", f.repeated_array], [f"{f.repeated_array}:24", "fuse"], None),
+    "demo-head header field unknown": lambda f: (
+        ["demo-head", "--load-params", f.header_extra], [f"{f.header_extra}:1", "'foo'"], None),
+    "demo-head header field twice": lambda f: (
+        ["demo-head", "--load-params", f.header_twice], [f"{f.header_twice}:1", "'dim'", "twice"], None),
+    "demo-head header word": lambda f: (
+        ["demo-head", "--load-params", f.header_junk], [f"{f.header_junk}:1", "'junk'"], None),
+    "demo-head header field not an integer": lambda f: (
+        ["demo-head", "--load-params", f.header_float], [f"{f.header_float}:1", "'dim'", "'4.0'"], None),
+    "demo-head header field without value": lambda f: (
+        ["demo-head", "--load-params", f.header_bare], [f"{f.header_bare}:1", "'dim'"], None),
+    "demo-head array name alone": lambda f: (
+        ["demo-head", "--load-params", f.name_alone], [f"{f.name_alone}:2: fuse:"], None),
+    "demo-head empty line": lambda f: (["demo-head", "--load-params", f.empty_line], [f"{f.empty_line}:24:"], None),
+    "demo-head shape not integers": lambda f: (
+        ["demo-head", "--load-params", f.bad_shape], [f"{f.bad_shape}:2: fuse:", "'12,x'"], None),
+    "demo-head shape negative": lambda f: (
+        ["demo-head", "--load-params", f.negative_shape], [f"{f.negative_shape}:2: fuse:", "'-1,4'"], None),
+    "demo-head shape not filled": lambda f: (
+        ["demo-head", "--load-params", f.unfilled_shape], [f"{f.unfilled_shape}:2: fuse:", "(4,4)"], None),
+    "demo-head value not a number": lambda f: (
+        ["demo-head", "--load-params", f.bad_value], [f"{f.bad_value}:2: fuse:", "'abc'"], None),
+    "demo-head value overflows": lambda f: (
+        ["demo-head", "--load-params", f.inf_value], [f"{f.inf_value}:2: fuse: non-finite"], None),
+    "demo-head utf-8": lambda f: (["demo-head", "--load-params", f.bad_params], [f"{f.bad_params}:3"], None),
+    "demo-head stdin": lambda f: (["demo-head", "--load-params", "-"], ["<stdin>:1", "'foo'"],
+                                  pathlib.Path(f.header_extra).read_bytes()),
     "filter id not a string": lambda f: (["filter", f.id_int], [f.id_int, "line 2", "'id'"], None),
     "tokenize -o full": lambda f: (["tokenize", f.text, "-o", FULL], [FULL], None),
     "detokenize -o full": lambda f: (["detokenize", f.tokens, "-o", FULL], [FULL], None),
@@ -518,11 +574,7 @@ def test_failed_stdout_is_one_error_line(stdout, tmp_path):
 
 def _param_lines():
     """Lines of a small head parameter file, and variants a bad file may hold."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = pathlib.Path(tmp) / "p.txt"
-        save_params(init_params(HeadConfig(dim=2, v_init=3, v_rhyme=3)), path)
-        lines = path.read_text("utf-8").splitlines()
-    header, arrays = lines[0], lines[1:]
+    header, *arrays = _param_text(HeadConfig(dim=2, v_init=3, v_rhyme=3)).splitlines()
     return [header, header.replace("v_init=3", "v_init=0"), header.replace("dim=2", "dim=-1"),
             *arrays, *(re.sub(r"\t\S+", "\tnan", line, count=1) for line in arrays)]
 

@@ -110,6 +110,13 @@ class TestManifest:
         line = json.dumps({"id": "1", "transcript": "ba mẹ", "split": "dev"}, ensure_ascii=False)
         assert load_manifest([line])[0].to_json() == line
 
+    def test_empty_split_kept_apart_from_absent(self):
+        lines = ['{"id": "a", "transcript": "ba", "split": ""}', '{"id": "b", "transcript": "ba"}']
+        records = load_manifest(lines)
+        assert [record.to_json() for record in records] == lines
+        _, _, stats = filter_manifest(records)
+        assert stats.as_dict()["splits"] == {"(unsplit)": {"total": 2, "flagged": 0, "percent": 0.0}}
+
     def test_all_vietnamese_discards_nothing(self, lexicon):
         records = load_manifest(self._lines([" ".join(lexicon[:5])] * 4))
         kept, discarded, stats = filter_manifest(records)

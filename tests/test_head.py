@@ -1,3 +1,4 @@
+import io
 import math
 import tracemalloc
 
@@ -16,19 +17,16 @@ from vietphon.head import (
     NonFiniteInput,
     ShapeMismatch,
     composite_loss,
-    embed_prev,
-    ffn_forward,
     finite_difference_grads,
+    forward,
     grad_check,
-    head_logits,
     init_params,
-    layer_norm,
     load_params,
-    save_params,
     sequence_grads,
     sequence_loss,
     softmax,
     toy_batch,
+    write_params,
 )
 
 CONFIG = HeadConfig(dim=4, v_init=7, v_rhyme=9)
@@ -56,17 +54,47 @@ def reference_ffn(f, gain, bias, w_up, w_down, residual="normalized", eps=1e-5):
     return out
 
 
+def with_features(params, f):
+    """params, unchecked, whose fused features at ids (0, 0, 0) are f: embed.init row 0 is f
+    and fuse is [I; 0; 0]."""
+    d = params.config.dim
+    embed = params["embed.init"].copy()
+    embed[0] = f
+    fuse = np.vstack([np.eye(d), np.zeros((2 * d, d))])
+    return head.HeadParams(params.config, {**params.arrays, "embed.init": embed, "fuse": fuse})
+
+
+def run_features(params, f, residual="normalized"):
+    """Per head, the logits and the FFN output of the feature vector f."""
+    logits, (_, _, layers) = forward(with_features(params, f), [[0, 0, 0]], residual)
+    return {h: logits[h][0] for h in HEADS}, {h: layers[h].out[0] for h in HEADS}
+
+
+def fused(params, ids):
+    """The fused features of ids: with residual="input" and a zero init.w_down, the
+    init head's output is its input."""
+    w_down = np.zeros_like(params["init.w_down"])
+    _, (_, _, layers) = forward(head.HeadParams(params.config, {**params.arrays, "init.w_down": w_down}),
+                                ids, "input")
+    return layers["init"].out
+
+
 class TestFfn:
     def test_zero_branch_reduces_to_layer_norm(self, params):
         f = np.arange(4, dtype=float)
-        gain, bias = params["init.ln_gain"], params["init.ln_bias"]
-        out = ffn_forward(f, gain, bias, np.zeros((4, 8)), np.zeros((8, 4)))
-        assert np.array_equal(out, layer_norm(f, gain, bias))
+        params.arrays["init.w_up"] = np.zeros((4, 8))
+        params.arrays["init.w_down"] = np.zeros((8, 4))
+        _, (_, _, layers) = forward(with_features(params, f), [[0, 0, 0]])
+        assert np.array_equal(layers["init"].out, layers["init"].h)
+        want = reference_ffn(f.tolist(), params["init.ln_gain"].tolist(), params["init.ln_bias"].tolist(),
+                             np.zeros((4, 8)).tolist(), np.zeros((8, 4)).tolist())
+        np.testing.assert_allclose(layers["init"].h[0], want, rtol=1e-12, atol=1e-12)
 
-    def test_zero_input_is_defined(self):
+    def test_zero_input_is_defined(self, params):
         d = 4
-        out = ffn_forward(np.zeros(d), np.ones(d), np.zeros(d),
-                          np.zeros((d, 2 * d)), np.zeros((2 * d, d)))
+        params.arrays.update({"init.ln_gain": np.ones(d), "init.ln_bias": np.zeros(d),
+                              "init.w_up": np.zeros((d, 2 * d)), "init.w_down": np.zeros((2 * d, d))})
+        out = run_features(params, np.zeros(d))[1]["init"]
         assert np.all(np.isfinite(out))
         assert np.array_equal(out, np.zeros(d))
 
@@ -74,8 +102,7 @@ class TestFfn:
         rng = np.random.default_rng(7)
         f = rng.normal(size=4)
         for residual in ("normalized", "input"):
-            got = ffn_forward(f, params["tone.ln_gain"], params["tone.ln_bias"],
-                              params["tone.w_up"], params["tone.w_down"], residual)
+            got = run_features(params, f, residual)[1]["tone"]
             want = reference_ffn(f.tolist(), params["tone.ln_gain"].tolist(),
                                  params["tone.ln_bias"].tolist(),
                                  params["tone.w_up"].tolist(),
@@ -84,40 +111,38 @@ class TestFfn:
 
     def test_non_finite_input(self, params):
         with pytest.raises(NonFiniteInput):
-            ffn_forward(np.array([1.0, np.nan, 0.0, 0.0]),
-                        params["init.ln_gain"], params["init.ln_bias"],
-                        params["init.w_up"], params["init.w_down"])
+            run_features(params, np.array([1.0, np.nan, 0.0, 0.0]))
 
     def test_unknown_residual_mode(self, params):
         with pytest.raises(ValueError):
-            ffn_forward(np.zeros(4), params["init.ln_gain"], params["init.ln_bias"],
-                        params["init.w_up"], params["init.w_down"], residual="raw")
+            run_features(params, np.zeros(4), residual="raw")
 
 
 class TestHeadLogits:
     def test_output_shapes(self, params):
-        logits = head_logits(np.zeros(4), params)
+        logits = run_features(params, np.zeros(4))[0]
         assert logits["init"].shape == (7,)
         assert logits["rhyme"].shape == (9,)
         assert logits["tone"].shape == (6,)
 
     def test_heads_are_independent(self, params):
         f = np.linspace(-1, 1, 4)
-        before = head_logits(f, params)
+        before = run_features(params, f)[0]
         params.arrays["tone.w_up"] += 0.5
         params.arrays["tone.b_out"] += 1.0
-        after = head_logits(f, params)
+        after = run_features(params, f)[0]
         assert np.array_equal(before["init"], after["init"])
         assert np.array_equal(before["rhyme"], after["rhyme"])
         assert not np.array_equal(before["tone"], after["tone"])
 
     def test_shape_mismatch(self, params):
+        wide = head.HeadParams(params.config, {**params.arrays, "fuse": np.zeros((12, 5))})
         with pytest.raises(ShapeMismatch):
-            head_logits(np.zeros(5), params)
+            forward(wide, [[0, 0, 0]])
 
     def test_toy_oracle(self, params):
         f = np.random.default_rng(3).normal(size=4)
-        logits = head_logits(f, params, residual="normalized")
+        logits = run_features(params, f, residual="normalized")[0]
         for head in HEADS:
             ffn_out = reference_ffn(f.tolist(), params[f"{head}.ln_gain"].tolist(),
                                     params[f"{head}.ln_bias"].tolist(),
@@ -135,41 +160,39 @@ class TestEmbedPrev:
     def test_block_identity_fusion_sums_embeddings(self, params):
         d = CONFIG.dim
         params.arrays["fuse"] = np.vstack([2.0 * np.eye(d), 3.0 * np.eye(d), 5.0 * np.eye(d)])
-        out = embed_prev((1, 2, 3), params)
+        out = fused(params, [(1, 2, 3)])[0]
         want = (2.0 * params["embed.init"][1] + 3.0 * params["embed.rhyme"][2]
                 + 5.0 * params["embed.tone"][3])
         np.testing.assert_allclose(out, want, rtol=1e-12)
 
     def test_row_swap_affects_only_those_ids(self, params):
-        base = {ids: embed_prev(ids, params) for ids in ((0, 2, 0), (0, 5, 0), (0, 3, 0))}
+        ids = [(0, 2, 0), (0, 5, 0), (0, 3, 0)]
+        base = fused(params, ids)
         params["embed.rhyme"][[2, 5]] = params["embed.rhyme"][[5, 2]]
-        np.testing.assert_array_equal(embed_prev((0, 2, 0), params), base[(0, 5, 0)])
-        np.testing.assert_array_equal(embed_prev((0, 5, 0), params), base[(0, 2, 0)])
-        np.testing.assert_array_equal(embed_prev((0, 3, 0), params), base[(0, 3, 0)])
+        np.testing.assert_array_equal(fused(params, ids), base[[1, 0, 2]])
 
     def test_permutation_equivariance(self, params):
         rng = np.random.default_rng(11)
         perm = rng.permutation(CONFIG.v_init)
         permuted = init_params(CONFIG, seed=42)
         permuted.arrays["embed.init"] = params["embed.init"][perm]
-        for original_id in range(CONFIG.v_init):
-            new_id = int(np.where(perm == original_id)[0][0])
-            np.testing.assert_array_equal(
-                embed_prev((original_id, 1, 1), params),
-                embed_prev((new_id, 1, 1), permuted),
-            )
+        new_ids = [int(np.where(perm == original_id)[0][0]) for original_id in range(CONFIG.v_init)]
+        np.testing.assert_array_equal(
+            fused(params, [(original_id, 1, 1) for original_id in range(CONFIG.v_init)]),
+            fused(permuted, [(new_id, 1, 1) for new_id in new_ids]),
+        )
 
     def test_id_out_of_range(self, params):
         with pytest.raises(vocab.IdOutOfRange) as exc:
-            embed_prev((0, CONFIG.v_rhyme, 0), params)
+            forward(params, [(0, CONFIG.v_rhyme, 0)])
         assert exc.value.space == "rhyme" and exc.value.token_id == CONFIG.v_rhyme
         with pytest.raises(IdOutOfRange) as exc:
-            embed_prev((-1, 0, 0), params)
+            forward(params, [(-1, 0, 0)])
         assert exc.value.space == "init" and exc.value.token_id == -1
         assert IdOutOfRange is vocab.IdOutOfRange
 
     def test_batch_shape(self, params):
-        out = embed_prev([[0, 0, 0], [1, 1, 1]], params)
+        out = fused(params, [[0, 0, 0], [1, 1, 1]])
         assert out.shape == (2, CONFIG.dim)
 
 
@@ -407,36 +430,37 @@ class TestBatchedForward:
             sequence_loss(batched, ids, targets)
 
 
+def param_lines(params):
+    """The lines write_params gives for params."""
+    out = io.StringIO()
+    write_params(params, out)
+    return out.getvalue().splitlines()
+
+
 class TestParamsIo:
     def test_save_load_roundtrip(self, params, tmp_path):
         path = tmp_path / "params.txt"
-        save_params(params, path)
-        loaded = load_params(path)
+        with open(path, "w", encoding="utf-8") as fh:
+            write_params(params, fh)
+        loaded = load_params(path.read_text("utf-8").splitlines())
         for (name, array), (name2, array2) in zip(params.arrays.items(), loaded.arrays.items()):
             assert name == name2
             np.testing.assert_array_equal(array, array2)
 
-    def test_rejects_garbage(self, tmp_path):
-        path = tmp_path / "junk.txt"
-        path.write_text("nonsense\n")
+    def test_rejects_garbage(self):
         with pytest.raises(ValueError):
-            load_params(path)
+            load_params(["nonsense"])
 
-    def test_missing_array_is_named(self, params, tmp_path):
-        path = tmp_path / "params.txt"
-        save_params(params, path)
-        lines = path.read_text("utf-8").splitlines(keepends=True)
-        path.write_text("".join(l for l in lines if not l.startswith("rhyme.w_up\t")), "utf-8")
+    def test_missing_array_is_named(self, params):
+        lines = [l for l in param_lines(params) if not l.startswith("rhyme.w_up\t")]
         with pytest.raises(ValueError, match=r"rhyme\.w_up"):
-            load_params(path)
+            load_params(lines)
 
-    def test_missing_header_field_is_named(self, params, tmp_path):
-        path = tmp_path / "params.txt"
-        save_params(params, path)
-        text = path.read_text("utf-8")
-        path.write_text(text.replace(" v_rhyme=9", "", 1), "utf-8")
+    def test_missing_header_field_is_named(self, params):
+        lines = param_lines(params)
+        lines[0] = lines[0].replace(" v_rhyme=9", "", 1)
         with pytest.raises(ValueError, match="v_rhyme"):
-            load_params(path)
+            load_params(lines)
 
     def test_model_dim_at_least_one(self):
         for dim in (0, -1):

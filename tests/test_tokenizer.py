@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from vietphon import tokenizer
 from vietphon.lexicon import iter_syllables
-from vietphon.phonology import PhonemeClass, Syllable, Tone, validate
+from vietphon.phonology import Syllable, Tone, validate
 from vietphon.tokenizer import (
     MAX_RULE_COMPARISONS,
     MultipleToneMarks,
@@ -19,7 +19,6 @@ from vietphon.tokenizer import (
     detokenize,
     format_phonemes,
     format_syllable,
-    match_component,
     parse_phonemes,
     parse_syllable,
     render_syllable,
@@ -67,28 +66,43 @@ class TestStripTone:
 
 
 class TestMatchComponent:
+    """One component's rule match, seen through parse_syllable's syllable and graphemes."""
+
     def test_ngh_longest_prefix(self):
-        assert match_component("nghiêm", PhonemeClass.INITIAL) == ("ŋ", "iêm")
+        result = parse_syllable("nghiêm")
+        assert result.syllable.initial == "ŋ"
+        assert result.graphemes == ("ngh", "", "iê", "m")
 
     def test_zero_initial(self):
-        assert match_component("a", PhonemeClass.INITIAL) == (None, "a")
+        result = parse_syllable("a")
+        assert result.syllable.initial is None
+        assert result.graphemes == ("", "", "a", "")
 
     def test_glide_with_lookahead(self):
-        assert match_component("uyên", PhonemeClass.GLIDE) == ("u̯", "yên")
-        assert match_component("oan", PhonemeClass.GLIDE) == ("u̯", "an")
+        for word, graphemes in (("uyên", ("", "u", "yê", "n")), ("oan", ("", "o", "a", "n"))):
+            result = parse_syllable(word)
+            assert result.syllable.glide == "u̯"
+            assert result.graphemes == graphemes
 
     def test_glide_context_blocks(self):
         # "ua" here is the /uo/ diphthong, not glide + a
-        assert match_component("ua", PhonemeClass.GLIDE) == (None, "ua")
-        assert match_component("oong", PhonemeClass.GLIDE) == (None, "oong")
+        for word, vowel, graphemes in (("ua", "uo", ("", "", "ua", "")), ("oong", "ɔː", ("", "", "oo", "ng"))):
+            result = parse_syllable(word)
+            assert (result.syllable.glide, result.syllable.vowel) == (None, vowel)
+            assert result.graphemes == graphemes
 
     def test_final_requires_exact_consumption(self):
-        assert match_component("ng", PhonemeClass.FINAL) == ("ŋ", "")
-        assert match_component("ngz", PhonemeClass.FINAL) == (None, "ngz")
+        result = parse_syllable("oong")
+        assert (result.syllable.final, result.graphemes[3]) == ("ŋ", "ng")
+        with pytest.raises(ParseFailure) as exc:
+            parse_syllable("oongz")
+        assert exc.value.residue == "ngz"
 
     def test_vowel_longest_prefix(self):
-        assert match_component("iêm", PhonemeClass.VOWEL) == ("ie", "m")
-        assert match_component("oong", PhonemeClass.VOWEL) == ("ɔː", "ng")
+        result = parse_syllable("tiêm")
+        assert (result.syllable.vowel, result.syllable.final) == ("ie", "m")
+        assert result.graphemes == ("t", "", "iê", "m")
+        assert parse_syllable("oong").syllable.vowel == "ɔː"
 
 
 class TestParseSyllable:
@@ -98,7 +112,6 @@ class TestParseSyllable:
             initial="h", glide="u̯", vowel="a", final="ŋ", tone=Tone.LOW_FALLING
         )
         assert result.graphemes == ("h", "o", "a", "ng")
-        assert result.residue == ""
 
     def test_may_reads_a_as_short(self):
         s = parse_syllable("máy").syllable

@@ -1,7 +1,8 @@
 import pytest
 
+from vietphon.cli import main
 from vietphon.phonology import RHYMES, Syllable, Tone
-from vietphon.tokenizer import parse_syllable, split_rhyme_token
+from vietphon.tokenizer import parse_syllable
 from vietphon.vocab import (
     CONTROL_TOKENS,
     DESIGN_COUNTS,
@@ -11,7 +12,6 @@ from vietphon.vocab import (
     build_vocab,
     load_vocab,
     rhyme_token,
-    save_vocab,
     vocab_report,
 )
 
@@ -34,11 +34,10 @@ class TestSpaces:
             assert tokens[:3] == CONTROL_TOKENS
 
     def test_rhyme_tokens_decompose_uniquely(self, vocab):
-        for token in vocab.rhyme_tokens:
-            if token in CONTROL_TOKENS:
-                continue
-            glide, nucleus, final = split_rhyme_token(token)
-            assert rhyme_token(glide, nucleus, final) == token
+        n = len(CONTROL_TOKENS)
+        for rhyme_id in range(n, len(vocab.rhyme_tokens)):
+            syllable = vocab.decode((n, rhyme_id, n))
+            assert rhyme_token(*syllable.rhyme) == vocab.rhyme_tokens[rhyme_id]
 
     def test_observed_rhymes_match_closed_table(self, vocab):
         closed = {rhyme_token(g, v, f) for g, v, f in RHYMES}
@@ -104,12 +103,12 @@ class TestDeterminism:
         second = build_vocab(list(reversed(lexicon)))
         assert first == second
 
-    def test_save_load_bit_exact(self, vocab, tmp_path):
+    def test_save_load_bit_exact(self, vocab, tmp_path, capsys):
         path = tmp_path / "vocab.tsv"
-        save_vocab(vocab, path)
+        assert main(["vocab", "-o", str(path)]) == 0
         assert load_vocab(path) == vocab
         before = path.read_bytes()
-        save_vocab(vocab, path)
+        assert main(["vocab", "-o", str(path)]) == 0
         assert path.read_bytes() == before
 
 
