@@ -241,13 +241,19 @@ def _cmd_demo_head(args) -> int:
         with _open_out(args.dump_params) as out:
             head.write_params(params, out)
     if args.load_params:
+        import numpy as np  # here, not at the top: only head needs numpy, and head has loaded it
+
         try:
             params = head.load_params(_read_lines(args.load_params))
-            report = head.grad_check(params, [[0, 0, 0]], {h: [0] for h in head.HEADS}, residual=args.residual)
+            # finite values can still overflow the check: an error, not a warning and a verdict
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                report = head.grad_check(params, [[0, 0, 0]], {h: [0] for h in head.HEADS}, residual=args.residual)
         except head.MalformedParamLine as exc:
             raise DataError(f"{_source(args.load_params)}:{exc.line_number}: {exc}") from None
         except (ValueError, IndexError) as exc:  # IndexError: a space with no id 0
             raise DataError(f"{_source(args.load_params)}: {exc}") from None
+        except FloatingPointError as exc:
+            raise DataError(f"{_source(args.load_params)}: values too large for the gradient check: {exc}") from None
         print(json.dumps(report.as_dict(), indent=2), file=report_to)
         return 0 if report.passed else 1
     summary = head.run_grad_suite(

@@ -78,8 +78,8 @@ class HeadParams:
     """Every learnable array by its name (see the module docstring), e.g.
     ``params["rhyme.w_up"]``; _param_shapes gives each name's shape.
 
-    Built as given, so an array may carry a batch axis; init_params and
-    load_params check every name and shape.
+    Built as given, so an array may carry a batch axis; init_params draws, and
+    load_params checks, every name and shape.
     """
 
     config: HeadConfig
@@ -105,20 +105,15 @@ def _param_shapes(config: HeadConfig) -> dict[str, tuple[int, ...]]:
 
 
 def _assemble(config: HeadConfig, arrays: dict[str, np.ndarray]) -> HeadParams:
-    """HeadParams from named arrays, each checked against _param_shapes."""
+    """HeadParams from named arrays of the shapes _param_shapes gives, none missing."""
     if config.dim < 1:
         raise ShapeMismatch(f"model dim must be at least 1, got {config.dim}")
     if config.v_tone != TONE_SPACE:
         raise ShapeMismatch(f"tone vocabulary must be {TONE_SPACE}, got {config.v_tone}")
     shapes = _param_shapes(config)
-    for name in arrays:
-        if name not in shapes:
-            raise ValueError(f"unknown parameter array {name!r}")
-    for name, shape in shapes.items():
+    for name in shapes:
         if name not in arrays:
             raise ValueError(f"missing parameter array {name!r}")
-        if arrays[name].shape != shape:
-            raise ShapeMismatch(f"{name}: expected {shape}, got {arrays[name].shape}")
     return HeadParams(config, {name: arrays[name] for name in shapes})
 
 
@@ -462,7 +457,8 @@ def write_params(params: HeadParams, fh) -> None:
 
 def load_params(lines) -> HeadParams:
     """HeadParams from the list of lines of a parameter file (see write_params), checked by _assemble.
-    A line that does not read raises MalformedParamLine; the header gives each HeadConfig field once."""
+    A line that does not read, or whose array name or shape the header's config does not
+    have, raises MalformedParamLine; the header gives each HeadConfig field once."""
     names = [f.name for f in dataclasses.fields(HeadConfig)]
     line_number, array_name, fields, arrays = 1, "", {}, {}
     try:
@@ -480,10 +476,13 @@ def load_params(lines) -> HeadParams:
         for name in names:
             if name not in fields:
                 raise ValueError(f"header field {name!r} missing")
+        shapes = _param_shapes(HeadConfig(**fields))
         for line_number, line in enumerate(lines[1:], start=2):
             array_name, *rest = line.split("\t")
             if len(rest) != 2:
                 raise ValueError(f"expected 3 tab-separated fields, got {len(rest) + 1}")
+            if array_name not in shapes:
+                raise ValueError("unknown parameter array")
             if array_name in arrays:
                 raise ValueError("given twice")
             shape, values = rest
@@ -493,6 +492,8 @@ def load_params(lines) -> HeadParams:
             if not np.all(np.isfinite(array)):
                 raise ValueError("non-finite values")
             arrays[array_name] = array.reshape(tuple(int(n) for n in shape.split(",")))
+            if arrays[array_name].shape != shapes[array_name]:
+                raise ShapeMismatch(f"expected {shapes[array_name]}, got {arrays[array_name].shape}")
     except ValueError as exc:
         raise MalformedParamLine(line_number, f"{array_name}: {exc}" if array_name else str(exc)) from None
     return _assemble(HeadConfig(**fields), arrays)

@@ -345,8 +345,14 @@ def render_syllable(syllable: Syllable) -> str:
 
     The tone mark lands on the last strong nucleus letter (ê ô ơ ă â ư) if one
     exists, else on the first nucleus letter; glides never carry it.  Output
-    is canonically composed.
+    is canonically composed.  A closed-set syllable is looked up first, in the
+    inverse of closed_syllables(), and skips validate (the set is valid by
+    construction); any other syllable is validated and takes the rules.
     """
+    try:
+        return _written_forms()[syllable]
+    except (KeyError, TypeError):  # outside the closed set; TypeError: an unhashable field
+        pass
     problems = validate(syllable)
     if problems:
         raise RenderFailure("; ".join(problems))
@@ -375,6 +381,12 @@ def closed_syllables() -> Mapping[str, Syllable]:
     function that a caller may be counting.
     """
     return MappingProxyType({_written_form(s): s for s in iter_syllables()})
+
+
+@functools.cache
+def _written_forms() -> Mapping[Syllable, str]:
+    """Read-only Syllable -> written form: the inverse of closed_syllables(), render_syllable's lookup."""
+    return MappingProxyType({s: word for word, s in closed_syllables().items()})
 
 
 def detokenize(syllables) -> str:
@@ -427,7 +439,22 @@ def format_phonemes(syllables) -> str:
     return " ".join(format_syllable(s) for s in syllables)
 
 
+@functools.cache
+def _syllables_by_token() -> Mapping[str, Syllable]:
+    """Read-only format_syllable(s) -> s over closed_syllables(): the wire-token lookup."""
+    return MappingProxyType({format_syllable(s): s for s in closed_syllables().values()})
+
+
 def parse_syllable_token(token: str) -> Syllable:
+    """The Syllable of one wire token (see format_syllable).
+
+    A closed-set token is looked up first; any other token is split into its
+    five components, and one that does not split into five raises ValueError.
+    """
+    try:
+        return _syllables_by_token()[token]
+    except (KeyError, TypeError):  # outside the closed set; TypeError: unhashable
+        pass
     parts = token.split("|")
     if len(parts) != 5:
         raise ValueError(f"malformed syllable token: {token!r}")

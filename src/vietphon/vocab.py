@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .phonology import INITIAL_IPAS, RHYMES, Syllable, Tone
-from .tokenizer import ABSENT, _token_syllable, closed_syllables, parse_syllable, rhyme_token
+from .tokenizer import ABSENT, _syllables_by_token, _token_syllable, closed_syllables, parse_syllable, rhyme_token
 
 BOS = "<bos>"
 EOS = "<eos>"
@@ -72,7 +72,10 @@ class Vocabulary:
         All three ids are range-checked first: the first out-of-range id, in
         initial, rhyme, tone order, raises IdOutOfRange for its space.  Only
         then is a control-token id (BOS/EOS/PAD) rejected with
-        UnknownComponent.  A valid triple decodes to a Syllable.
+        UnknownComponent.  A closed-set triple is then looked up by its wire
+        token, and any other triple splits its rhyme token by the rules.  A hit
+        counts only with no "|" in the initial or tone token, where the joined
+        token splits back into these three tokens alone.
         """
         init_id, rhyme_id, tone_id = ids
         spaces = (
@@ -86,8 +89,12 @@ class Vocabulary:
         for space, token_id, tokens in spaces:
             if tokens[token_id] in CONTROL_TOKENS:
                 raise UnknownComponent(space, tokens[token_id])
-        glide, vowel, final = self.rhyme_tokens[rhyme_id].split("|")
-        return _token_syllable(self.initial_tokens[init_id], glide, vowel, final, self.tone_tokens[tone_id])
+        init, rhyme, tone = self.initial_tokens[init_id], self.rhyme_tokens[rhyme_id], self.tone_tokens[tone_id]
+        syllable = _syllables_by_token().get(f"{init}|{rhyme}|{tone}")
+        if syllable is not None and "|" not in init and "|" not in tone:
+            return syllable
+        glide, vowel, final = rhyme.split("|")
+        return _token_syllable(init, glide, vowel, final, tone)
 
     @property
     def spaces(self) -> tuple[tuple[str, tuple[str, ...]], ...]:

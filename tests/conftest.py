@@ -29,14 +29,20 @@ def golden_rows():
 
 
 @pytest.fixture(scope="session")
-def component_forms():
-    """The written forms of all 45,540 component tuples, lax forms included."""
-    return sorted({
-        render_syllable(Syllable(vowel=v, initial=i, glide=g, final=f, tone=t))
+def component_syllables():
+    """The Syllables of all 45,540 component tuples, closed set and lax forms alike."""
+    return [
+        Syllable(vowel=v, initial=i, glide=g, final=f, tone=t)
         for i, g, v, f, t in itertools.product(
             (None, *sorted(INITIAL_IPAS)), (None, *sorted(GLIDE_IPAS)), sorted(VOWEL_IPAS),
             (None, *sorted(FINAL_IPAS)), Tone)
-    })
+    ]
+
+
+@pytest.fixture(scope="session")
+def component_forms(component_syllables):
+    """The written forms of all 45,540 component tuples, lax forms included."""
+    return sorted({render_syllable(s) for s in component_syllables})
 
 
 @pytest.fixture(scope="session")

@@ -378,6 +378,8 @@ def _files(tmp_path):
         unfilled_shape=write("unfilled_shape.txt", text.replace("fuse\t12,4", "fuse\t4,4")),
         bad_value=write("bad_value.txt", re.sub(r"(?m)^(fuse\t\S+\t)\S+", r"\1abc", text)),
         inf_value=write("inf_value.txt", re.sub(r"(?m)^(fuse\t\S+\t)\S+", r"\g<1>1e999", text)),
+        huge_value=write("huge_value.txt", re.sub(r"(?m)^(fuse\t\S+\t)\S+", r"\g<1>1e300", text)),
+        transposed=write("transposed.txt", text.replace("fuse\t12,4", "fuse\t4,12")),
         bad_params=write("bad_params.txt", text.encode("utf-8").replace(b"embed.init", b"embed.\xff")),
         id_int=write("id_int.jsonl", '{"id": "a", "transcript": "ba"}\n{"id": 1, "transcript": ["ba"]}\n'),
         kept_manifest=write("kept_m.jsonl", '{"id": "a", "transcript": "ba"}\n'),
@@ -425,7 +427,9 @@ ERROR_CASES = {
     "demo-head empty space": lambda f: (["demo-head", "--load-params", f.no_init_id], [f.no_init_id], None),
     "demo-head dim zero": lambda f: (["demo-head", "--load-params", f.dim_zero], [f.dim_zero, "dim"], None),
     "demo-head unknown array": lambda f: (
-        ["demo-head", "--load-params", f.unknown_array], [f.unknown_array, "bogus"], None),
+        ["demo-head", "--load-params", f.unknown_array], [f"{f.unknown_array}:24: bogus: unknown"], None),
+    "demo-head shape transposed": lambda f: (
+        ["demo-head", "--load-params", f.transposed], [f"{f.transposed}:2: fuse:", "(12, 4)", "(4, 12)"], None),
     "demo-head repeated array": lambda f: (
         ["demo-head", "--load-params", f.repeated_array], [f"{f.repeated_array}:24", "fuse"], None),
     "demo-head header field unknown": lambda f: (
@@ -451,6 +455,8 @@ ERROR_CASES = {
         ["demo-head", "--load-params", f.bad_value], [f"{f.bad_value}:2: fuse:", "'abc'"], None),
     "demo-head value overflows": lambda f: (
         ["demo-head", "--load-params", f.inf_value], [f"{f.inf_value}:2: fuse: non-finite"], None),
+    "demo-head value overflows the check": lambda f: (
+        ["demo-head", "--load-params", f.huge_value], [f"{f.huge_value}: ", "overflow"], None),
     "demo-head utf-8": lambda f: (["demo-head", "--load-params", f.bad_params], [f"{f.bad_params}:3"], None),
     "demo-head stdin": lambda f: (["demo-head", "--load-params", "-"], ["<stdin>:1", "'foo'"],
                                   pathlib.Path(f.header_extra).read_bytes()),

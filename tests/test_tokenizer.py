@@ -1,3 +1,4 @@
+import contextlib
 import unicodedata
 from unittest import mock
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from vietphon import tokenizer
 from vietphon.lexicon import iter_syllables
-from vietphon.phonology import Syllable, Tone, validate
+from vietphon.phonology import FINAL_IPAS, GLIDE_IPAS, INITIAL_IPAS, VOWEL_IPAS, Syllable, Tone, validate
 from vietphon.tokenizer import (
     MAX_RULE_COMPARISONS,
     MultipleToneMarks,
@@ -21,6 +22,7 @@ from vietphon.tokenizer import (
     format_syllable,
     parse_phonemes,
     parse_syllable,
+    parse_syllable_token,
     render_syllable,
     strip_tone,
     tokenize,
@@ -294,6 +296,69 @@ def _tokenize_outcome(text):
         return tokenize(text)
     except TokenizeError as exc:
         return type(exc), getattr(exc, "index", None), str(exc)
+
+
+#: every closed-set wire token, and every component a wire token may hold
+WIRE_TOKENS = sorted(format_syllable(s) for s in iter_syllables())
+WIRE_PARTS = sorted(INITIAL_IPAS | GLIDE_IPAS | VOWEL_IPAS | FINAL_IPAS | {"∅"}) + [t.label for t in Tone]
+
+
+def _outcome(fn, *args):
+    """fn's value, or its error's type and message."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # any error, so that the two paths must raise alike
+        return type(exc), str(exc)
+
+
+@contextlib.contextmanager
+def _rule_path():
+    """parse_syllable_token and render_syllable with empty closed-set indexes: the rules alone."""
+    with mock.patch.object(tokenizer, "_syllables_by_token", dict), \
+            mock.patch.object(tokenizer, "_written_forms", dict):
+        yield
+
+
+class TestWireIndexes:
+    def test_indexes_cover_the_closed_set(self):
+        closed = closed_syllables()
+        assert tokenizer._written_forms() == {s: word for word, s in closed.items()}
+        assert sorted(tokenizer._syllables_by_token()) == WIRE_TOKENS
+        assert set(tokenizer._syllables_by_token().values()) == set(closed.values())
+
+    def test_every_component_tuple_reads_and_renders_as_by_rule(self, component_syllables):
+        def outcomes():
+            return [(_outcome(parse_syllable_token, format_syllable(s)), _outcome(render_syllable, s))
+                    for s in component_syllables]
+
+        with_indexes = outcomes()
+        with _rule_path():
+            assert outcomes() == with_indexes
+
+    def test_closed_set_renders_without_validate(self):
+        with mock.patch.object(tokenizer, "validate", side_effect=AssertionError("validate called")):
+            assert {render_syllable(s): s for s in closed_syllables().values()} == closed_syllables()
+
+    def test_rule_path_errors_are_kept(self):
+        for token in ("b|a|Flat", "b|∅|a|∅|Level", "b|∅||∅|Flat", "b|∅|a|∅|Flat|"):
+            with_indexes = _outcome(parse_syllable_token, token)
+            with _rule_path():
+                assert _outcome(parse_syllable_token, token) == with_indexes
+            assert with_indexes[0] is ValueError
+        for bad in (Syllable(vowel="a", initial="w"), Syllable(vowel="a", tone="Flat"),
+                    Syllable(vowel="a", final=["k"])):
+            with_indexes = _outcome(render_syllable, bad)
+            with _rule_path():
+                assert _outcome(render_syllable, bad) == with_indexes
+            assert with_indexes[0] in (RenderFailure, TypeError)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(WIRE_PARTS), st.sampled_from(WIRE_TOKENS), st.text(max_size=2)),
+                    min_size=1, max_size=6).map("|".join))
+    def test_random_tokens_read_as_by_rule(self, token):
+        with_indexes = _outcome(parse_syllable_token, token)
+        with _rule_path():
+            assert _outcome(parse_syllable_token, token) == with_indexes
 
 
 class TestLinearCost:

@@ -1,8 +1,15 @@
-import pytest
+import itertools
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vietphon import vocab as vocab_module
 from vietphon.cli import main
+from vietphon.lexicon import iter_syllables
 from vietphon.phonology import RHYMES, Syllable, Tone
-from vietphon.tokenizer import parse_syllable
+from vietphon.tokenizer import format_syllable, parse_syllable
 from vietphon.vocab import (
     CONTROL_TOKENS,
     DESIGN_COUNTS,
@@ -95,6 +102,59 @@ class TestCoding:
     def test_control_ids_do_not_decode(self, vocab):
         with pytest.raises(UnknownComponent):
             vocab.decode((0, 3, 3))
+
+
+def _outcome(fn, *args):
+    """fn's value, or its error's type and message."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # any error, so that the two paths must raise alike
+        return type(exc), str(exc)
+
+
+def _rule_path():
+    """decode with an empty closed-set index: the rhyme token split by the rules alone."""
+    return mock.patch.object(vocab_module, "_syllables_by_token", dict)
+
+
+#: the closed-set wire tokens
+WIRE_TOKENS = sorted(format_syllable(s) for s in iter_syllables())
+
+
+@st.composite
+def cut_tokens(draw):
+    """Three tokens whose "|"-join is a closed-set wire token, cut at any two of its separators."""
+    parts = draw(st.sampled_from(WIRE_TOKENS)).split("|")
+    i, j = sorted(draw(st.lists(st.integers(0, 5), min_size=2, max_size=2)))
+    return "|".join(parts[:i]), "|".join(parts[i:j]), "|".join(parts[j:])
+
+
+class TestClosedSetLookup:
+    def test_lookup_keeps_token_boundaries(self):
+        # "b|∅" + "a|∅" + "Flat" joins to the wire token of "ba"; by the rules
+        # the two-part rhyme token does not unpack
+        glued = Vocabulary(CONTROL_TOKENS + ("b|∅",), CONTROL_TOKENS + ("a|∅",), CONTROL_TOKENS + ("Flat",))
+        with pytest.raises(ValueError, match="not enough values to unpack"):
+            glued.decode((3, 3, 3))
+
+    def test_every_id_triple_decodes_as_by_rule(self, vocab):
+        # control and out-of-range ids included: -1 and the size of each space
+        triples = list(itertools.product(*(range(-1, len(tokens) + 1) for _, tokens in vocab.spaces)))
+        with_index = [_outcome(vocab.decode, ids) for ids in triples]
+        index = vocab_module._syllables_by_token()
+        looked_up = [o for o in with_index if isinstance(o, Syllable) and o is index.get(format_syllable(o))]
+        assert len(looked_up) == len(WIRE_TOKENS)  # each closed-set triple is a hit
+        with _rule_path():
+            assert [_outcome(vocab.decode, ids) for ids in triples] == with_index
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(cut_tokens(), st.tuples(*[st.text(max_size=4)] * 3)))
+    def test_any_three_tokens_decode_as_by_rule(self, tokens):
+        vocab = Vocabulary(*(CONTROL_TOKENS + (token,) for token in tokens))
+        ids = (len(CONTROL_TOKENS),) * 3
+        with_index = _outcome(vocab.decode, ids)
+        with _rule_path():
+            assert _outcome(vocab.decode, ids) == with_index
 
 
 class TestDeterminism:
