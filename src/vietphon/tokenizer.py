@@ -411,7 +411,7 @@ def rhyme_token(glide: str | None, vowel: str, final: str | None) -> str:
     return f"{glide or ABSENT}|{vowel}|{final or ABSENT}"
 
 
-def _token_syllable(initial: str, glide: str, vowel: str, final: str, tone: str) -> Syllable:
+def syllable_from_tokens(initial: str, glide: str, vowel: str, final: str, tone: str) -> Syllable:
     """The Syllable of five component tokens: ∅ is an absent component, the tone a label."""
     return Syllable(
         vowel=vowel,
@@ -458,7 +458,7 @@ def parse_syllable_token(token: str) -> Syllable:
     parts = token.split("|")
     if len(parts) != 5:
         raise ValueError(f"malformed syllable token: {token!r}")
-    return _token_syllable(*parts)
+    return syllable_from_tokens(*parts)
 
 
 def parse_phonemes(line: str) -> list[Syllable]:

@@ -3,23 +3,22 @@
 Each syllable encodes as (initial id, rhyme id, tone id).  Ids are assigned
 lexicographically by token string, so two builds from the same lexicon are
 bit-identical; BOS/EOS/PAD occupy the first three ids of every space because
-the downstream decoder is autoregressive.
+the downstream decoder is autoregressive.  Ids map back through one slot
+table per vocabulary, which holds the closed-set syllable of each id triple.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .phonology import INITIAL_IPAS, RHYMES, Syllable, Tone
-from .tokenizer import ABSENT, _syllables_by_token, _token_syllable, closed_syllables, parse_syllable, rhyme_token
+from .tokenizer import ABSENT, closed_syllables, parse_syllable, rhyme_token, syllable_from_tokens
 
 BOS = "<bos>"
 EOS = "<eos>"
 PAD = "<pad>"
 CONTROL_TOKENS = (BOS, EOS, PAD)
-
-#: the three token spaces, in the order of a Vocabulary's fields and of an id triple
-SPACE_NAMES = ("initial", "rhyme", "tone")
 
 #: nominal space sizes of the reference tokenizer design; the computed sizes
 #: are reported next to them (note the stated total differs from the
@@ -70,12 +69,11 @@ class Vocabulary:
         """The syllable of an (initial id, rhyme id, tone id) triple.
 
         All three ids are range-checked first: the first out-of-range id, in
-        initial, rhyme, tone order, raises IdOutOfRange for its space.  Only
-        then is a control-token id (BOS/EOS/PAD) rejected with
-        UnknownComponent.  A closed-set triple is then looked up by its wire
-        token, and any other triple splits its rhyme token by the rules.  A hit
-        counts only with no "|" in the initial or tone token, where the joined
-        token splits back into these three tokens alone.
+        initial, rhyme, tone order, raises IdOutOfRange for its space.  A
+        filled slot of the slot table, built on the first call, is then
+        returned: the closed-set syllable itself.  On a miss a control-token
+        id (BOS/EOS/PAD) is rejected with UnknownComponent, and any other
+        triple splits its rhyme token by the rules.
         """
         init_id, rhyme_id, tone_id = ids
         spaces = (
@@ -86,20 +84,31 @@ class Vocabulary:
         for space, token_id, tokens in spaces:
             if not 0 <= token_id < len(tokens):
                 raise IdOutOfRange(space, token_id, len(tokens))
+        syllable = self._slots[(init_id * len(self.rhyme_tokens) + rhyme_id) * len(self.tone_tokens) + tone_id]
+        if syllable is not None:
+            return syllable
         for space, token_id, tokens in spaces:
             if tokens[token_id] in CONTROL_TOKENS:
                 raise UnknownComponent(space, tokens[token_id])
-        init, rhyme, tone = self.initial_tokens[init_id], self.rhyme_tokens[rhyme_id], self.tone_tokens[tone_id]
-        syllable = _syllables_by_token().get(f"{init}|{rhyme}|{tone}")
-        if syllable is not None and "|" not in init and "|" not in tone:
-            return syllable
-        glide, vowel, final = rhyme.split("|")
-        return _token_syllable(init, glide, vowel, final, tone)
+        glide, vowel, final = self.rhyme_tokens[rhyme_id].split("|")
+        return syllable_from_tokens(self.initial_tokens[init_id], glide, vowel, final, self.tone_tokens[tone_id])
+
+    @functools.cached_property
+    def _slots(self) -> list[Syllable | None]:
+        """Slot (i·R + r)·T + t: the closed-set syllable whose tokens have ids (i, r, t), or None."""
+        size_r, size_t = len(self.rhyme_tokens), len(self.tone_tokens)
+        slots = [None] * (len(self.initial_tokens) * size_r * size_t)
+        rhyme_ids = {rhyme: self._rhyme_ids.get(rhyme_token(*rhyme)) for rhyme in RHYMES}
+        for s in closed_syllables().values() if any(r is not None for r in rhyme_ids.values()) else ():
+            i, r, t = self._initial_ids.get(s.initial or ABSENT), rhyme_ids[s.rhyme], self._tone_ids.get(s.tone.label)
+            if i is not None and r is not None and t is not None:
+                slots[(i * size_r + r) * size_t + t] = s
+        return slots
 
     @property
     def spaces(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
         """The (name, tokens) pair of each space, in initial, rhyme, tone order."""
-        return tuple(zip(SPACE_NAMES, (self.initial_tokens, self.rhyme_tokens, self.tone_tokens)))
+        return tuple(zip(("initial", "rhyme", "tone"), (self.initial_tokens, self.rhyme_tokens, self.tone_tokens)))
 
     @property
     def content_counts(self) -> dict[str, int]:
@@ -161,14 +170,3 @@ def write_vocab(vocab: Vocabulary, fh) -> None:
     for space, tokens in vocab.spaces:
         for token_id, token in enumerate(tokens):
             fh.write(f"{space}\t{token_id}\t{token}\n")
-
-
-def load_vocab(path) -> Vocabulary:
-    spaces: dict[str, list[str]] = {name: [] for name in SPACE_NAMES}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            space, token_id, token = line.rstrip("\n").split("\t")
-            if int(token_id) != len(spaces[space]):
-                raise ValueError(f"non-contiguous id {token_id} for {space}")
-            spaces[space].append(token)
-    return Vocabulary(*(tuple(spaces[name]) for name in SPACE_NAMES))

@@ -1,15 +1,18 @@
+import collections
 import itertools
+import pathlib
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vietphon import phonology, tokenizer
 from vietphon import vocab as vocab_module
 from vietphon.cli import main
 from vietphon.lexicon import iter_syllables
 from vietphon.phonology import RHYMES, Syllable, Tone
-from vietphon.tokenizer import format_syllable, parse_syllable
+from vietphon.tokenizer import closed_syllables, format_syllable, parse_syllable
 from vietphon.vocab import (
     CONTROL_TOKENS,
     DESIGN_COUNTS,
@@ -17,10 +20,11 @@ from vietphon.vocab import (
     UnknownComponent,
     Vocabulary,
     build_vocab,
-    load_vocab,
     rhyme_token,
     vocab_report,
 )
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -113,8 +117,19 @@ def _outcome(fn, *args):
 
 
 def _rule_path():
-    """decode with an empty closed-set index: the rhyme token split by the rules alone."""
-    return mock.patch.object(vocab_module, "_syllables_by_token", dict)
+    """decode with an empty slot table: every triple splits its rhyme token by the rules alone."""
+    return mock.patch.object(Vocabulary, "_slots", property(lambda self: collections.defaultdict(lambda: None)))
+
+
+def _every_id_triple(vocab):
+    """Every id triple of a vocabulary, control and out-of-range ids included: -1 and each space's size."""
+    return list(itertools.product(*(range(-1, len(tokens) + 1) for _, tokens in vocab.spaces)))
+
+
+def _hits(outcomes):
+    """The outcomes that are the very Syllable objects held in closed_syllables()."""
+    closed = {s: s for s in closed_syllables().values()}
+    return [o for o in outcomes if isinstance(o, Syllable) and closed.get(o) is o]
 
 
 #: the closed-set wire tokens
@@ -138,23 +153,45 @@ class TestClosedSetLookup:
             glued.decode((3, 3, 3))
 
     def test_every_id_triple_decodes_as_by_rule(self, vocab):
-        # control and out-of-range ids included: -1 and the size of each space
-        triples = list(itertools.product(*(range(-1, len(tokens) + 1) for _, tokens in vocab.spaces)))
-        with_index = [_outcome(vocab.decode, ids) for ids in triples]
-        index = vocab_module._syllables_by_token()
-        looked_up = [o for o in with_index if isinstance(o, Syllable) and o is index.get(format_syllable(o))]
-        assert len(looked_up) == len(WIRE_TOKENS)  # each closed-set triple is a hit
+        triples = _every_id_triple(vocab)
+        with_table = [_outcome(vocab.decode, ids) for ids in triples]
+        assert len(_hits(with_table)) == len(WIRE_TOKENS)  # each closed-set triple is a hit
         with _rule_path():
-            assert [_outcome(vocab.decode, ids) for ids in triples] == with_index
+            assert [_outcome(vocab.decode, ids) for ids in triples] == with_table
+
+    def test_missing_rhyme_token_decodes_the_rest_as_by_rule(self, vocab):
+        dropped = "∅|a|∅"
+        partial = Vocabulary(vocab.initial_tokens, tuple(t for t in vocab.rhyme_tokens if t != dropped),
+                             vocab.tone_tokens)
+        triples = _every_id_triple(partial)
+        with_table = [_outcome(partial.decode, ids) for ids in triples]
+        hits = _hits(with_table)
+        assert len(hits) == sum(rhyme_token(*s.rhyme) != dropped for s in closed_syllables().values())
+        assert all(rhyme_token(*s.rhyme) != dropped for s in hits)
+        with _rule_path():
+            assert [_outcome(partial.decode, ids) for ids in triples] == with_table
+
+    def test_first_decode_calls_no_counted_function(self, vocab):
+        ba = closed_syllables()["ba"]
+        ids = vocab.encode(ba)
+        fresh = Vocabulary(vocab.initial_tokens, vocab.rhyme_tokens, vocab.tone_tokens)
+        counted = AssertionError("a counted function ran")
+        with mock.patch.object(Vocabulary, "encode", side_effect=counted), \
+                mock.patch.object(vocab_module, "parse_syllable", side_effect=counted), \
+                mock.patch.object(tokenizer, "parse_syllable", side_effect=counted), \
+                mock.patch.object(tokenizer, "render_syllable", side_effect=counted), \
+                mock.patch.object(tokenizer, "validate", side_effect=counted), \
+                mock.patch.object(phonology, "validate", side_effect=counted):
+            assert fresh.decode(ids) is ba
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(cut_tokens(), st.tuples(*[st.text(max_size=4)] * 3)))
     def test_any_three_tokens_decode_as_by_rule(self, tokens):
         vocab = Vocabulary(*(CONTROL_TOKENS + (token,) for token in tokens))
         ids = (len(CONTROL_TOKENS),) * 3
-        with_index = _outcome(vocab.decode, ids)
+        with_table = _outcome(vocab.decode, ids)
         with _rule_path():
-            assert _outcome(vocab.decode, ids) == with_index
+            assert _outcome(vocab.decode, ids) == with_table
 
 
 class TestDeterminism:
@@ -163,13 +200,17 @@ class TestDeterminism:
         second = build_vocab(list(reversed(lexicon)))
         assert first == second
 
-    def test_save_load_bit_exact(self, vocab, tmp_path, capsys):
+    def test_save_load_bit_exact(self, tmp_path, capsys):
+        # the bundled lexicon's table, pinned byte for byte: written, rewritten and piped
+        golden = (DATA / "vocab_table.tsv").read_bytes()
         path = tmp_path / "vocab.tsv"
         assert main(["vocab", "-o", str(path)]) == 0
-        assert load_vocab(path) == vocab
-        before = path.read_bytes()
+        assert path.read_bytes() == golden
         assert main(["vocab", "-o", str(path)]) == 0
-        assert path.read_bytes() == before
+        assert path.read_bytes() == golden
+        capsys.readouterr()
+        assert main(["vocab", "-o", "-"]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == golden
 
 
 class TestReport:
