@@ -4,7 +4,7 @@ Each syllable encodes as (initial id, rhyme id, tone id).  Ids are assigned
 lexicographically by token string, so two builds from the same lexicon are
 bit-identical; BOS/EOS/PAD occupy the first three ids of every space because
 the downstream decoder is autoregressive.  Ids map back through one slot
-table per vocabulary, which holds the closed-set syllable of each id triple.
+table of the closed set per vocabulary; any other triple takes the rules.
 """
 
 from __future__ import annotations
