@@ -241,7 +241,7 @@ def _cmd_demo_head(args) -> int:
         with _open_out(args.dump_params) as out:
             head.write_params(params, out)
     if args.load_params:
-        import numpy as np  # here, not at the top: only head needs numpy, and head has loaded it
+        import numpy as np  # here, not at the top: only demo-head needs numpy
 
         try:
             params = head.load_params(_read_lines(args.load_params))

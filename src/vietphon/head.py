@@ -19,6 +19,11 @@ arrays stay unbatched and broadcast): ``forward`` then returns logits with a
 leading axis of B and ``sequence_loss`` one total per variant.  The finite
 difference check uses this to perturb every entry of one array in one loss
 call, in chunks of at most ``FD_CHUNK_FLOATS`` floats of copies and activations.
+
+numpy is imported on the first read of an ``np`` attribute, not with this
+module.  ``cli`` imports this module at its top, and perfbench's tracer finds
+it in ``sys.modules`` to patch it; but only ``demo-head`` needs numpy, so the
+text pipelines never load it.
 """
 
 from __future__ import annotations
@@ -27,9 +32,20 @@ import dataclasses
 from collections import namedtuple
 from dataclasses import dataclass
 
-import numpy as np
-
 from .vocab import IdOutOfRange
+
+
+class _Numpy:
+    """numpy, imported on the first attribute read, which rebinds ``np`` to it."""
+
+    def __getattr__(self, name):
+        global np
+        import numpy as np
+
+        return getattr(np, name)
+
+
+np = _Numpy()
 
 HEADS = ("init", "rhyme", "tone")
 TONE_SPACE = 6

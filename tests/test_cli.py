@@ -568,6 +568,59 @@ def test_failed_stdout_is_one_error_line(stdout, tmp_path):
     assert proc.stderr.decode("utf-8") == f"error: <stdout>: {reason}\n"
 
 
+#: a child that records, in order, whether numpy is loaded after importing the
+#: cli, after the text pipelines of argv[1], and after demo-head
+_IMPORT_BOUNDARY = """
+import contextlib, io, json, sys
+from vietphon import cli
+seen = {"numpy after import": "numpy" in sys.modules, "head after import": "vietphon.head" in sys.modules}
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    seen["codes"] = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+seen["numpy after text"] = "numpy" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["demo-head code"] = cli.main(["demo-head", "--configs", "1"])
+seen["head.np is numpy"] = sys.modules["vietphon.head"].np is sys.modules.get("numpy")
+print(json.dumps(seen))
+"""
+
+
+def test_only_demo_head_imports_numpy(tmp_path):
+    inputs, out = DATA / "cli" / "in", str(tmp_path / "out")
+    text_runs = [
+        ["tokenize", str(inputs / "text.txt"), "-o", out],
+        ["detokenize", str(inputs / "phonemes.txt"), "-o", out],
+        ["roundtrip", str(inputs / "words.txt")],
+        ["vocab", "--lexicon", str(inputs / "lexicon.txt"), "-o", out],
+        ["rules"],
+        ["score", "--pairs", str(inputs / "pairs.jsonl")],
+        ["filter", str(inputs / "manifest.jsonl"), "-o", out, "--discard-file", str(tmp_path / "discarded")],
+    ]
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_BOUNDARY, json.dumps(text_runs)],
+                          capture_output=True, text=True, env=_cli_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "numpy after import": False,
+        "head after import": True,  # perfbench's tracer patches it from sys.modules
+        "codes": [0, 0, 1, 0, 0, 0, 0],  # roundtrip: words.txt holds variant spellings
+        "numpy after text": False,
+        "demo-head code": 0,
+        "head.np is numpy": True,
+    }
+
+
+def test_overflow_is_one_error_line_in_a_fresh_process(tmp_path):
+    """demo-head --load-params imports numpy for np.errstate before head has read it."""
+    huge = tmp_path / "huge.txt"
+    params = (DATA / "demo_head_params.txt").read_text("utf-8")
+    huge.write_text(re.sub(r"(?m)^(fuse\t\S+\t)\S+", r"\g<1>1e300", params, count=1), "utf-8")
+    proc = subprocess.run([sys.executable, "-m", "vietphon.cli", "demo-head", "--load-params", str(huge)],
+                          capture_output=True, text=True, env=_cli_env(), timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert re.fullmatch(f"error: {re.escape(str(huge))}: values too large for the gradient check: .*\n",
+                        proc.stderr)
+
+
 # ---------------------------------------------------------------------------
 # The error contract as a property: one test per subcommand that reads a file
 # ("rules" reads none).  Each draws a file content, an output place and an
