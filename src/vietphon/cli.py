@@ -107,11 +107,8 @@ def _cmd_tokenize(args) -> int:
     with _open_out(args.output) as out:
         for lineno, line in enumerate(_read_lines(args.input), start=1):
             _check_composed(line, lineno, source, args.nfd_ok)
-            words = []
-            for token in line.split():
-                words.extend(corpus.clean_words(token))
             try:
-                syllables = tokenizer.tokenize(" ".join(words))
+                syllables = tokenizer.tokenize(" ".join(corpus.clean_words(line)))
             except tokenizer.TokenizeError as exc:
                 raise DataError(f"{source}:{lineno}: {exc}") from None
             if args.strict:
@@ -333,6 +330,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "score" and not args.pairs and not (args.ref and args.hyp):
         parser.error("score requires --pairs or both --ref and --hyp")
+    if args.command == "score" and args.pairs and (args.ref or args.hyp):
+        parser.error("score takes --pairs or --ref and --hyp, not both")
     if (args.command == "filter" and args.output and args.discard_file
             and "-" not in (args.output, args.discard_file)
             and os.path.realpath(args.output) == os.path.realpath(args.discard_file)):

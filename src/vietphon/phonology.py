@@ -100,11 +100,11 @@ RULES: tuple[GraphemeRule, ...] = _load_rules()
 
 
 def inventory(phoneme_class: PhonemeClass, kind: str | None = None) -> list[GraphemeRule]:
-    """Full rule table for one class, longest written form first."""
+    """Full rule table for one class: longest written form first, a context row before the plain row of its form."""
     rules = [r for r in RULES if r.phoneme_class is phoneme_class]
     if kind is not None:
         rules = [r for r in rules if r.kind == kind]
-    return sorted(rules, key=lambda r: (-r.match_priority, r.written_form, r.tag))
+    return sorted(rules, key=lambda r: (-r.match_priority, r.written_form, not r.context))
 
 
 def _ipa_set(phoneme_class: PhonemeClass) -> frozenset[str]:

@@ -111,20 +111,19 @@ def _bucket_by_first_letter(rules):
     return buckets
 
 
-_INITIALS = _bucket_by_first_letter(inventory(PhonemeClass.INITIAL))
-_GLIDES = inventory(PhonemeClass.GLIDE)
-_GLIDE_U_RULE = next(r for r in _GLIDES if r.written_form == "u")
-_VOWELS = _bucket_by_first_letter(inventory(PhonemeClass.VOWEL))
+#: the prefix-matched classes, each bucketed by first letter
+_BUCKETS = {cls: _bucket_by_first_letter(inventory(cls))
+            for cls in (PhonemeClass.INITIAL, PhonemeClass.GLIDE, PhonemeClass.VOWEL)}
+(_GLIDE_U_RULE,) = _BUCKETS[PhonemeClass.GLIDE]["u"]
 _FINALS = {r.written_form: r for r in inventory(PhonemeClass.FINAL)}
 
-_VOWEL_FIRST_LETTERS = frozenset(_VOWELS)
-
-# parse-side context predicates, keyed by the rule's context tag
+# rule-table context tag -> predicate on the letters after the written form; parse and render both read it
 _CONTEXTS = {
     "followed-by-u": lambda after: after.startswith("u"),
     "before-ê-y-â-ơ": lambda after: after[:1] in ("ê", "y", "â", "ơ"),
     "before-a-ă-e": lambda after: after[:1] in ("a", "ă", "e"),
-    "before-final-y-or-u": lambda after: False,  # resolved after the final is known
+    # after a vowel the rest is the final's whole written form
+    "before-final-y-or-u": lambda after: after in ("y", "u"),
 }
 
 
@@ -139,11 +138,7 @@ def _match_class(word: str, phoneme_class: PhonemeClass, stats: ParseStats | Non
             stats.comparisons += 1
         rule = _FINALS.get(word)
         return (rule, "") if rule is not None else (None, word)
-    if phoneme_class is PhonemeClass.GLIDE:
-        rules = _GLIDES
-    else:
-        rules = (_INITIALS if phoneme_class is PhonemeClass.INITIAL else _VOWELS).get(word[:1], ())
-    for rule in rules:
+    for rule in _BUCKETS[phoneme_class].get(word[:1], ()):
         if stats is not None:
             stats.comparisons += 1
         if not word.startswith(rule.written_form):
@@ -157,11 +152,10 @@ def _match_class(word: str, phoneme_class: PhonemeClass, stats: ParseStats | Non
 def parse_syllable(word: str, stats: ParseStats | None = None) -> ParseResult:
     """Decompose one word into its Syllable, or raise ParseFailure.
 
-    Contextual read-side rules beyond the plain tables:
+    Read-side rules beyond the table's contexts:
       - an initial written "q" always takes the following "u" as the glide;
       - "gi" with no following vowel letter re-uses its "i" as the nucleus
-        ("gì", "gìn");
-      - written "a" reads as /ă/ before a final written "y" or "u".
+        ("gì", "gìn").
     The final must consume the entire remainder exactly.  A word that fails
     still counts in stats.
     """
@@ -181,7 +175,7 @@ def parse_syllable(word: str, stats: ParseStats | None = None) -> ParseResult:
             glide_rule, rest = _GLIDE_U_RULE, rest[1:]
             if stats is not None:
                 stats.comparisons += 1
-        elif init_rule is not None and init_rule.written_form == "gi" and rest[:1] not in _VOWEL_FIRST_LETTERS:
+        elif init_rule is not None and init_rule.written_form == "gi" and rest[:1] not in _BUCKETS[PhonemeClass.VOWEL]:
             rest = "i" + rest  # the written i serves as both initial letter and nucleus
         if glide_rule is None:
             glide_rule, rest = _match_class(rest, PhonemeClass.GLIDE, stats)
@@ -196,12 +190,8 @@ def parse_syllable(word: str, stats: ParseStats | None = None) -> ParseResult:
             if final_rule is None:
                 raise ParseFailure(word, rest)
 
-        vowel_ipa = vowel_rule.ipa
-        if vowel_rule.written_form == "a" and final_rule is not None and final_rule.written_form in ("y", "u"):
-            vowel_ipa = "ă"
-
         syllable = Syllable(
-            vowel=vowel_ipa,
+            vowel=vowel_rule.ipa,
             initial=init_rule.ipa if init_rule else None,
             glide=glide_rule.ipa if glide_rule else None,
             final=final_rule.ipa if final_rule else None,
@@ -296,7 +286,7 @@ def _nucleus_form(syllable: Syllable, final_form: str) -> str:
     if vowel == "ɯə":
         return "ươ" if final_form else "ưa"
     if vowel == "ă":
-        return "a" if final_form in ("y", "u") else "ă"
+        return "a" if _CONTEXTS["before-final-y-or-u"](final_form) else "ă"
     if vowel == "i":
         if syllable.glide:
             return "y"
@@ -327,7 +317,7 @@ def _glide_form(syllable: Syllable, nucleus_form: str) -> str:
         return ""
     if syllable.initial == "k":
         return "u"  # after written q the glide is always u ("quà", "que")
-    return "o" if nucleus_form[:1] in ("a", "ă", "e") else "u"
+    return "o" if _CONTEXTS["before-a-ă-e"](nucleus_form) else "u"
 
 
 def _attach_tone(nucleus_form: str, tone: Tone) -> str:
@@ -422,16 +412,13 @@ def syllable_from_tokens(initial: str, glide: str, vowel: str, final: str, tone:
     )
 
 
+def syllable_tokens(syllable: Syllable) -> tuple[str, str, str]:
+    """The (initial, rhyme, tone) tokens of a syllable: ∅ for an absent component, the tone's label."""
+    return syllable.initial or ABSENT, rhyme_token(*syllable.rhyme), syllable.tone.label
+
+
 def format_syllable(syllable: Syllable) -> str:
-    return "|".join(
-        (
-            syllable.initial or ABSENT,
-            syllable.glide or ABSENT,
-            syllable.vowel,
-            syllable.final or ABSENT,
-            syllable.tone.label,
-        )
-    )
+    return "|".join(syllable_tokens(syllable))
 
 
 def format_phonemes(syllables) -> str:

@@ -13,7 +13,7 @@ import functools
 from dataclasses import dataclass
 
 from .phonology import INITIAL_IPAS, RHYMES, Syllable, Tone
-from .tokenizer import ABSENT, closed_syllables, parse_syllable, rhyme_token, syllable_from_tokens
+from .tokenizer import ABSENT, closed_syllables, parse_syllable, rhyme_token, syllable_from_tokens, syllable_tokens
 
 BOS = "<bos>"
 EOS = "<eos>"
@@ -59,10 +59,11 @@ class Vocabulary:
             raise UnknownComponent(space, token) from None
 
     def encode(self, syllable: Syllable) -> tuple[int, int, int]:
+        initial, rhyme, tone = syllable_tokens(syllable)
         return (
-            self._lookup("initial", self._initial_ids, syllable.initial or ABSENT),
-            self._lookup("rhyme", self._rhyme_ids, rhyme_token(*syllable.rhyme)),
-            self._lookup("tone", self._tone_ids, syllable.tone.label),
+            self._lookup("initial", self._initial_ids, initial),
+            self._lookup("rhyme", self._rhyme_ids, rhyme),
+            self._lookup("tone", self._tone_ids, tone),
         )
 
     def decode(self, ids: tuple[int, int, int]) -> Syllable:
@@ -100,7 +101,8 @@ class Vocabulary:
         slots = [None] * (len(self.initial_tokens) * size_r * size_t)
         rhyme_ids = {rhyme: self._rhyme_ids.get(rhyme_token(*rhyme)) for rhyme in RHYMES}
         for s in closed_syllables().values() if any(r is not None for r in rhyme_ids.values()) else ():
-            i, r, t = self._initial_ids.get(s.initial or ABSENT), rhyme_ids[s.rhyme], self._tone_ids.get(s.tone.label)
+            initial, _, tone = syllable_tokens(s)
+            i, r, t = self._initial_ids.get(initial), rhyme_ids[s.rhyme], self._tone_ids.get(tone)
             if i is not None and r is not None and t is not None:
                 slots[(i * size_r + r) * size_t + t] = s
         return slots

@@ -22,7 +22,9 @@ from vietphon.head import HeadConfig, init_params, write_params
 
 #: a device whose every write fails with ENOSPC (Linux)
 FULL = "/dev/full"
-DATA = pathlib.Path(__file__).parent / "data"
+#: the golden case directories of tools/cli_goldens.py, and the parameter file its demo-head cases read
+GOLDEN = pathlib.Path(__file__).parent / "data" / "cli"
+PARAMS = GOLDEN / "in" / "demo_head_params.txt"
 
 
 def run(capsys, *argv):
@@ -166,6 +168,18 @@ class TestScore:
             main(["score"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("extra", [["--ref", "r.txt", "--hyp", "h.txt"], ["--ref", "r.txt"], ["--hyp", "h.txt"]])
+    def test_pairs_with_ref_or_hyp_is_usage_error(self, extra, capsys, tmp_path, monkeypatch):
+        # all three inputs are valid: scoring the pairs alone would drop --ref/--hyp unread
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p.jsonl").write_text('{"ref": "ba", "hyp": "bà"}\n', "utf-8")
+        (tmp_path / "r.txt").write_text("ba\n", "utf-8")
+        (tmp_path / "h.txt").write_text("mẹ\n", "utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["score", "--pairs", "p.jsonl", *extra])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_line_count_mismatch(self, capsys, tmp_path):
         ref = tmp_path / "ref.txt"
         hyp = tmp_path / "hyp.txt"
@@ -255,12 +269,13 @@ class TestDemoHead:
         (["--configs", "100"], "demo_head_100.out"),
         (["--configs", "20", "--residual", "input"], "demo_head_20_input.out"),
         (["--configs", "0", "--dump-params", "-"], "demo_head_params.txt"),
-        (["--load-params", str(DATA / "demo_head_params.txt")], "demo_head_load_params.out"),
+        (["--load-params", str(PARAMS)], "demo_head_load_params.out"),
     ])
     def test_report_is_golden(self, argv, golden, capsys):
+        # the stem of golden names the tests/data/cli case whose stdout this is
         code, out, _ = run(capsys, "demo-head", *argv)
         assert code == 0
-        assert out == (DATA / golden).read_text("utf-8")
+        assert out == (GOLDEN / pathlib.Path(golden).stem / "stdout").read_text("utf-8")
 
     def test_negative_configs_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -277,11 +292,10 @@ class TestDemoHead:
         assert json.loads(out)["passed"]
 
     def test_params_from_stdin(self, capsys, monkeypatch):
-        params = (DATA / "demo_head_params.txt").read_bytes()
-        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(params), encoding="utf-8"))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(PARAMS.read_bytes()), encoding="utf-8"))
         code, out, _ = run(capsys, "demo-head", "--load-params", "-")
         assert code == 0
-        assert out == (DATA / "demo_head_load_params.out").read_text("utf-8")
+        assert out == (GOLDEN / "demo_head_load_params" / "stdout").read_text("utf-8")
 
     def test_missing_params_file_reads_like_other_inputs(self, capsys, tmp_path):
         missing = str(tmp_path / "nope.txt")
@@ -585,7 +599,7 @@ print(json.dumps(seen))
 
 
 def test_only_demo_head_imports_numpy(tmp_path):
-    inputs, out = DATA / "cli" / "in", str(tmp_path / "out")
+    inputs, out = GOLDEN / "in", str(tmp_path / "out")
     text_runs = [
         ["tokenize", str(inputs / "text.txt"), "-o", out],
         ["detokenize", str(inputs / "phonemes.txt"), "-o", out],
@@ -611,7 +625,7 @@ def test_only_demo_head_imports_numpy(tmp_path):
 def test_overflow_is_one_error_line_in_a_fresh_process(tmp_path):
     """demo-head --load-params imports numpy for np.errstate before head has read it."""
     huge = tmp_path / "huge.txt"
-    params = (DATA / "demo_head_params.txt").read_text("utf-8")
+    params = PARAMS.read_text("utf-8")
     huge.write_text(re.sub(r"(?m)^(fuse\t\S+\t)\S+", r"\g<1>1e300", params, count=1), "utf-8")
     proc = subprocess.run([sys.executable, "-m", "vietphon.cli", "demo-head", "--load-params", str(huge)],
                           capture_output=True, text=True, env=_cli_env(), timeout=120)

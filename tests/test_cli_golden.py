@@ -1,4 +1,4 @@
-"""CLI output of the text pipelines, byte for byte against tests/data/cli/.
+"""CLI output of every subcommand, byte for byte against tests/data/cli/.
 
 tools/cli_goldens.py defines the cases and writes the golden files; this test
 runs each case again and fails on any difference in exit code, stdout, stderr

@@ -75,6 +75,14 @@ class TestInventories:
         rules = inventory(PhonemeClass.GLIDE)
         assert [(r.written_form, r.ipa) for r in rules] == [("o", "u̯"), ("u", "u̯")]
 
+    def test_context_row_precedes_plain_row(self):
+        # a matcher tries the rows of one written form in inventory order
+        for cls in PhonemeClass:
+            rules = inventory(cls)
+            for i, rule in enumerate(rules):
+                later = [r for r in rules[i + 1:] if r.written_form == rule.written_form]
+                assert rule.context or not any(r.context for r in later), rule
+
     def test_no_duplicate_form_context_pairs(self):
         for cls in PhonemeClass:
             seen = [(r.written_form, r.context) for r in inventory(cls)]

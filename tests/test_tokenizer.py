@@ -8,7 +8,17 @@ from hypothesis import strategies as st
 
 from vietphon import tokenizer
 from vietphon.lexicon import iter_syllables
-from vietphon.phonology import FINAL_IPAS, GLIDE_IPAS, INITIAL_IPAS, VOWEL_IPAS, Syllable, Tone, validate
+from vietphon.phonology import (
+    FINAL_IPAS,
+    GLIDE_IPAS,
+    INITIAL_IPAS,
+    RULES,
+    VOWEL_IPAS,
+    PhonemeClass,
+    Syllable,
+    Tone,
+    validate,
+)
 from vietphon.tokenizer import (
     MAX_RULE_COMPARISONS,
     MultipleToneMarks,
@@ -263,6 +273,30 @@ class TestRoundTrip:
         # strict mode on: the bundled lexicon obeys the stop-final tone rule
         for word in lexicon[::53]:
             assert validate(parse_syllable(word).syllable, strict=True) == []
+
+
+class TestRuleTable:
+    """The rule table's rows and contexts are the parser's: no rule is written a second time in code."""
+
+    def test_every_row_is_read_by_some_closed_set_word(self):
+        classes = (PhonemeClass.INITIAL, PhonemeClass.GLIDE, PhonemeClass.VOWEL, PhonemeClass.FINAL)
+        read = set()
+        for word in closed_syllables():
+            result = parse_syllable(word)
+            components = (result.syllable.initial, result.syllable.glide, result.syllable.vowel, result.syllable.final)
+            read.update((cls, form, ipa) for cls, form, ipa in zip(classes, result.graphemes, components) if form)
+        # a → ă (context before-final-y-or-u) included, read as in "tay" and "sau"
+        assert read == {(r.phoneme_class, r.written_form, r.ipa) for r in RULES}
+
+    def test_every_context_tag_has_one_predicate(self):
+        assert set(tokenizer._CONTEXTS) == {r.context for r in RULES if r.context}
+
+    def test_a_before_final_y_or_u_is_the_table_row(self):
+        rows = [r for r in RULES if r.phoneme_class is PhonemeClass.VOWEL and r.written_form == "a"]
+        short = next(r for r in rows if r.context)
+        assert (short.ipa, short.context) == ("ă", "before-final-y-or-u")
+        for word, vowel in (("tay", "ă"), ("sau", "ă"), ("tai", "a"), ("tao", "a"), ("ta", "a")):
+            assert parse_syllable(word).syllable.vowel == vowel, word
 
 
 class TestClosedSyllables:

@@ -50,6 +50,13 @@ class TestSpaces:
             syllable = vocab.decode((n, rhyme_id, n))
             assert rhyme_token(*syllable.rhyme) == vocab.rhyme_tokens[rhyme_id]
 
+    def test_encode_picks_the_wire_tokens(self, vocab):
+        # format_syllable and encode share one component-token function
+        for s in closed_syllables().values():
+            i, r, t = vocab.encode(s)
+            tokens = (vocab.initial_tokens[i], vocab.rhyme_tokens[r], vocab.tone_tokens[t])
+            assert "|".join(tokens) == format_syllable(s)
+
     def test_observed_rhymes_match_closed_table(self, vocab):
         closed = {rhyme_token(g, v, f) for g, v, f in RHYMES}
         content = {t for t in vocab.rhyme_tokens if t not in CONTROL_TOKENS}
@@ -202,7 +209,7 @@ class TestDeterminism:
 
     def test_save_load_bit_exact(self, tmp_path, capsys):
         # the bundled lexicon's table, pinned byte for byte: written, rewritten and piped
-        golden = (DATA / "vocab_table.tsv").read_bytes()
+        golden = (DATA / "cli" / "vocab_bundled" / "vocab.tsv").read_bytes()
         path = tmp_path / "vocab.tsv"
         assert main(["vocab", "-o", str(path)]) == 0
         assert path.read_bytes() == golden

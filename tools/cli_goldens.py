@@ -43,6 +43,11 @@ CASES = {
     "score_foreign": ["score", "--pairs", "pairs_foreign.jsonl"],
     "score_foreign_no_per": ["score", "--pairs", "pairs_foreign.jsonl", "--no-per"],
     "filter": ["filter", "manifest.jsonl", "-o", "out/kept.jsonl", "--discard-file", "out/discarded.jsonl"],
+    "vocab_bundled": ["vocab", "-o", "out/vocab.tsv"],
+    "demo_head_100": ["demo-head", "--configs", "100"],
+    "demo_head_20_input": ["demo-head", "--configs", "20", "--residual", "input"],
+    "demo_head_params": ["demo-head", "--configs", "0", "--dump-params", "-"],
+    "demo_head_load_params": ["demo-head", "--load-params", "demo_head_params.txt"],
 }
 
 
