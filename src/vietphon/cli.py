@@ -18,16 +18,6 @@ import unicodedata
 
 from . import corpus, head, lexicon, metrics, phonology, tokenizer, vocab
 
-#: one flag default per documented design decision; snapshot-tested
-FLAG_DEFAULTS = {
-    "strict": False,
-    "cer_include_spaces": False,
-    "per_alignment": "tuple",
-    "residual": "normalized",
-    "nfd_ok": True,
-}
-
-
 class DataError(Exception):
     """Wraps data-level failures with file/line context for stderr."""
 
@@ -97,16 +87,12 @@ def _write_records(outputs) -> None:
                 print(record.to_json(), file=fh)
 
 
-def _check_composed(line: str, lineno: int, source: str, nfd_ok: bool):
-    if not nfd_ok and unicodedata.normalize("NFC", line) != line:
-        raise DataError(f"{source}:{lineno}: input is not canonically composed (--no-nfd-ok)")
-
-
 def _cmd_tokenize(args) -> int:
     source = _source(args.input)
     with _open_out(args.output) as out:
         for lineno, line in enumerate(_read_lines(args.input), start=1):
-            _check_composed(line, lineno, source, args.nfd_ok)
+            if not args.nfd_ok and unicodedata.normalize("NFC", line) != line:
+                raise DataError(f"{source}:{lineno}: input is not canonically composed (--no-nfd-ok)")
             try:
                 syllables = tokenizer.tokenize(" ".join(corpus.clean_words(line)))
             except tokenizer.TokenizeError as exc:
@@ -125,20 +111,18 @@ def _cmd_detokenize(args) -> int:
         for lineno, line in enumerate(_read_lines(args.input), start=1):
             try:
                 print(tokenizer.detokenize(tokenizer.parse_phonemes(line)), file=out)
-            except (ValueError, KeyError) as exc:
+            except ValueError as exc:
                 raise DataError(f"{_source(args.input)}:{lineno}: {exc}") from None
     return 0
 
 
 def _cmd_roundtrip(args) -> int:
-    words = lexicon.load_lexicon() if args.input is None else [
-        w for line in _read_lines(args.input) for w in line.split()
-    ]
+    words = lexicon.load_lexicon() if args.input is None else lexicon.read_words(_read_lines(args.input))
     mismatches = []
     for word in words:
         try:
             rendered = tokenizer.render_syllable(tokenizer.parse_syllable(word).syllable)
-        except (tokenizer.TokenizeError, tokenizer.RenderFailure) as exc:
+        except tokenizer.TokenizeError as exc:
             mismatches.append(f"{word}\t{exc}")
             continue
         if rendered != unicodedata.normalize("NFC", word):
@@ -151,11 +135,11 @@ def _cmd_roundtrip(args) -> int:
 
 def _cmd_vocab(args) -> int:
     lines = None if args.lexicon is None else _read_lines(args.lexicon)
-    words = lexicon.load_lexicon() if lines is None else [w for line in lines for w in line.split()]
+    words = lexicon.load_lexicon() if lines is None else lexicon.read_words(lines)
     try:
         built = vocab.build_vocab(words)
     except tokenizer.TokenizeError as exc:  # the bundled lexicon parses; this is a --lexicon word
-        lineno = next(n for n, line in enumerate(lines, start=1) if exc.word in line.split())
+        lineno = next(n for n, line in enumerate(lines, start=1) if exc.word in lexicon.read_words([line]))
         raise DataError(f"{_source(args.lexicon)}:{lineno}: {exc}") from None
     if args.output:
         with _open_out(args.output) as out:
@@ -268,10 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tokenize", help="text to phoneme lines (init|glide|vowel|final|tone)")
     p.add_argument("input", nargs="?", default="-", help="text file, one utterance per line")
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--strict", action="store_true", default=FLAG_DEFAULTS["strict"],
+    p.add_argument("--strict", action="store_true", default=False,
                    help="also enforce the stop-final tone restriction")
     p.add_argument("--nfd-ok", action=argparse.BooleanOptionalAction,
-                   default=FLAG_DEFAULTS["nfd_ok"], help="accept decomposed input")
+                   default=True, help="accept decomposed input")
     p.set_defaults(func=_cmd_tokenize)
 
     p = sub.add_parser("detokenize", help="phoneme lines back to text")
@@ -297,10 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", help="reference transcript file")
     p.add_argument("--hyp", help="hypothesis transcript file")
     p.add_argument("--pairs", help='JSONL file of {"ref": ..., "hyp": ...} lines')
-    p.add_argument("--cer-include-spaces", action="store_true",
-                   default=FLAG_DEFAULTS["cer_include_spaces"])
-    p.add_argument("--per-alignment", choices=("tuple", "flat"),
-                   default=FLAG_DEFAULTS["per_alignment"])
+    p.add_argument("--cer-include-spaces", action="store_true", default=False)
+    p.add_argument("--per-alignment", choices=("tuple", "flat"), default="tuple")
     p.add_argument("--no-per", action="store_true", help="skip PER (unparseable transcripts)")
     p.set_defaults(func=_cmd_score)
 
@@ -315,8 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo-head", help="run the gradient verification suite")
     p.add_argument("--configs", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--residual", choices=("normalized", "input"),
-                   default=FLAG_DEFAULTS["residual"])
+    p.add_argument("--residual", choices=("normalized", "input"), default="normalized")
     p.add_argument("--dump-params", default=None,
                    help='write a seeded toy parameter file ("-": stdout, report to stderr)')
     p.add_argument("--load-params", default=None, help='gradient-check a parameter file ("-": stdin)')

@@ -184,8 +184,24 @@ def _ffn(f, gain, bias, w_up, w_down, residual) -> FfnCache:
     return FfnCache(h, xhat, inv, u, r, (h if residual == "normalized" else f) + r @ w_down)
 
 
-def _run_heads(f_dec, params: HeadParams, residual: str):
-    """Checked features through every head: (logits, head -> FfnCache)."""
+def forward(params: HeadParams, prev_ids, residual: str = "normalized"):
+    """Per-head logits, and the cache sequence_grads reads: (checked (n, 3) ids,
+    concatenated embeddings, head -> FfnCache).
+
+    Logits are (n, V) per head, or (B, n, V) when any parameter array carries a
+    leading batch axis of B variants; the unbatched arrays broadcast over it.
+    """
+    ids = np.atleast_2d(np.asarray(prev_ids, int))
+    if ids.shape[-1] != 3:
+        raise ShapeMismatch(f"expected id triples, got shape {ids.shape}")
+    for column, head in enumerate(HEADS):
+        v = params.config.vocab_sizes[head]
+        bad = ids[:, column][(ids[:, column] < 0) | (ids[:, column] >= v)]
+        if bad.size:
+            raise IdOutOfRange(head, int(bad[0]), v)
+    rows = [np.take(params[f"embed.{head}"], ids[:, column], axis=-2) for column, head in enumerate(HEADS)]
+    x_cat = np.concatenate(np.broadcast_arrays(*rows), axis=-1)
+    f_dec = x_cat @ params["fuse"]
     if not np.all(np.isfinite(f_dec)):
         raise NonFiniteInput("non-finite values in FFN input")
     if residual not in ("normalized", "input"):
@@ -197,33 +213,6 @@ def _run_heads(f_dec, params: HeadParams, residual: str):
         layers[head] = _ffn(f_dec, params[f"{head}.ln_gain"], params[f"{head}.ln_bias"],
                             params[f"{head}.w_up"], params[f"{head}.w_down"], residual)
         logits[head] = layers[head].out @ params[f"{head}.w_out"] + _over_steps(params[f"{head}.b_out"])
-    return logits, layers
-
-
-def _embed(ids, params: HeadParams):
-    """Checked (n, 3) ids, their concatenated embeddings and the fused features."""
-    ids = np.atleast_2d(np.asarray(ids, int))
-    if ids.shape[-1] != 3:
-        raise ShapeMismatch(f"expected id triples, got shape {ids.shape}")
-    for column, head in enumerate(HEADS):
-        v = params.config.vocab_sizes[head]
-        bad = ids[:, column][(ids[:, column] < 0) | (ids[:, column] >= v)]
-        if bad.size:
-            raise IdOutOfRange(head, int(bad[0]), v)
-    rows = [np.take(params[f"embed.{head}"], ids[:, column], axis=-2) for column, head in enumerate(HEADS)]
-    x_cat = np.concatenate(np.broadcast_arrays(*rows), axis=-1)
-    return ids, x_cat, x_cat @ params["fuse"]
-
-
-def forward(params: HeadParams, prev_ids, residual: str = "normalized"):
-    """Per-head logits, and the cache sequence_grads reads: (checked (n, 3) ids,
-    concatenated embeddings, head -> FfnCache).
-
-    Logits are (n, V) per head, or (B, n, V) when any parameter array carries a
-    leading batch axis of B variants; the unbatched arrays broadcast over it.
-    """
-    ids, x_cat, f_dec = _embed(prev_ids, params)
-    logits, layers = _run_heads(f_dec, params, residual)
     return logits, (ids, x_cat, layers)
 
 

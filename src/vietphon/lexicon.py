@@ -55,7 +55,12 @@ def iter_syllables():
                 yield Syllable(vowel=vowel, initial=initial, glide=glide, final=final, tone=tone)
 
 
+def read_words(lines) -> list[str]:
+    """The words of a word list: split on whitespace; a line starting with "#" is a comment."""
+    return [word for line in lines if not line.startswith("#") for word in line.split()]
+
+
 def load_lexicon() -> list[str]:
     """The bundled word list, one NFC-composed syllable per entry."""
     text = resources.files("vietphon.data").joinpath("lexicon.txt").read_text("utf-8")
-    return [line for line in text.splitlines() if line and not line.startswith("#")]
+    return read_words(text.splitlines())

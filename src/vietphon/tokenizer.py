@@ -197,9 +197,6 @@ def parse_syllable(word: str, stats: ParseStats | None = None) -> ParseResult:
             final=final_rule.ipa if final_rule else None,
             tone=normalized.tone,
         )
-        problems = validate(syllable)
-        if problems:  # unreachable from the tables; guards future edits
-            raise ParseFailure(word, "; ".join(problems))
         return ParseResult(
             syllable=syllable,
             graphemes=(

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vietphon
-from vietphon.cli import FLAG_DEFAULTS, build_parser, main
+from vietphon.cli import build_parser, main
 from vietphon.head import HeadConfig, init_params, write_params
 
 #: a device whose every write fails with ENOSPC (Linux)
@@ -25,6 +25,8 @@ FULL = "/dev/full"
 #: the golden case directories of tools/cli_goldens.py, and the parameter file its demo-head cases read
 GOLDEN = pathlib.Path(__file__).parent / "data" / "cli"
 PARAMS = GOLDEN / "in" / "demo_head_params.txt"
+#: the bundled word list, passed by path; its first line is a "#" comment
+LEXICON = pathlib.Path(vietphon.__file__).parent / "data" / "lexicon.txt"
 
 
 def run(capsys, *argv):
@@ -113,6 +115,9 @@ class TestRoundtrip:
         assert code == 1
         assert "2 mismatches" in out
 
+    def test_bundled_lexicon_by_path(self, capsys):
+        assert run(capsys, "roundtrip", str(LEXICON)) == (0, "15574 words, 0 mismatches\n", "")
+
 
 class TestVocab:
     def test_report_and_dump(self, capsys, tmp_path):
@@ -133,6 +138,13 @@ class TestVocab:
         assert not (tmp_path / "-").exists()
         assert out.encode("utf-8") == table.read_bytes()
         assert json.loads(err)["design"]["total"] == 163
+
+    def test_bundled_lexicon_by_path(self, capsys, tmp_path):
+        table = tmp_path / "vocab.tsv"
+        code, out, _ = run(capsys, "vocab", "--lexicon", str(LEXICON), "-o", str(table))
+        assert code == 0
+        assert out == (GOLDEN / "vocab_bundled" / "stdout").read_text("utf-8")
+        assert table.read_bytes() == (GOLDEN / "vocab_bundled" / "vocab.tsv").read_bytes()
 
 
 class TestRules:
@@ -265,18 +277,6 @@ class TestDemoHead:
         assert out == path.read_text("utf-8")
         assert json.loads(err)["configs"] == 0
 
-    @pytest.mark.parametrize("argv, golden", [
-        (["--configs", "100"], "demo_head_100.out"),
-        (["--configs", "20", "--residual", "input"], "demo_head_20_input.out"),
-        (["--configs", "0", "--dump-params", "-"], "demo_head_params.txt"),
-        (["--load-params", str(PARAMS)], "demo_head_load_params.out"),
-    ])
-    def test_report_is_golden(self, argv, golden, capsys):
-        # the stem of golden names the tests/data/cli case whose stdout this is
-        code, out, _ = run(capsys, "demo-head", *argv)
-        assert code == 0
-        assert out == (GOLDEN / pathlib.Path(golden).stem / "stdout").read_text("utf-8")
-
     def test_negative_configs_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["demo-head", "--configs", "-3"])
@@ -307,14 +307,15 @@ class TestDefaults:
     def test_flag_defaults_snapshot(self):
         parser = build_parser()
         tok = parser.parse_args(["tokenize", "x"])
-        assert tok.strict == FLAG_DEFAULTS["strict"]
-        assert tok.nfd_ok == FLAG_DEFAULTS["nfd_ok"]
         score = parser.parse_args(["score", "--pairs", "p"])
-        assert score.cer_include_spaces == FLAG_DEFAULTS["cer_include_spaces"]
-        assert score.per_alignment == FLAG_DEFAULTS["per_alignment"]
         demo = parser.parse_args(["demo-head"])
-        assert demo.residual == FLAG_DEFAULTS["residual"]
-        assert FLAG_DEFAULTS == {
+        assert {
+            "strict": tok.strict,
+            "cer_include_spaces": score.cer_include_spaces,
+            "per_alignment": score.per_alignment,
+            "residual": demo.residual,
+            "nfd_ok": tok.nfd_ok,
+        } == {
             "strict": False,
             "cer_include_spaces": False,
             "per_alignment": "tuple",
@@ -397,6 +398,8 @@ def _files(tmp_path):
         long_id=write("long_id.jsonl", '{"id": ' + "1" * 5000 + ', "transcript": "ba"}\n'),
         long_ref=write("long_ref.jsonl", '{"ref": ' + "1" * 5000 + ', "hyp": "ba"}\n'),
         bad_word=write("bad_word.txt", "ba\nmẹ xyz\n"),
+        comment_word=write("comment_word.txt", "# xyz\nba\nmẹ xyz\n"),
+        not_object=write("not_object.jsonl", '{"id": "a", "transcript": "ba"}\n["a", "ba"]\n'),
         per_pairs=write("per_pairs.jsonl", '{"ref": "ba", "hyp": "ba"}\n{"ref": "ba", "hyp": "ba xyz"}\n'),
         two=write("two.txt", "ba\nba mẹ\n"),
     )
@@ -478,6 +481,9 @@ ERROR_CASES = {
         ["filter", f.manifest, "-o", f.kept, "--discard-file", FULL], [FULL], None),
     "vocab -o full": lambda f: (["vocab", "-o", FULL], [FULL], None),
     "vocab --lexicon parse": lambda f: (["vocab", "--lexicon", f.bad_word], [f"{f.bad_word}:2", "xyz"], None),
+    "vocab --lexicon comment": lambda f: (
+        ["vocab", "--lexicon", f.comment_word], [f"{f.comment_word}:3", "xyz"], None),
+    "filter not an object": lambda f: (["filter", f.not_object], [f.not_object, "line 2", "JSON object"], None),
     "filter deep JSON": lambda f: (["filter", f.deep], [f.deep, "line 1"], None),
     "filter long integer": lambda f: (["filter", f.long_id], [f.long_id, "line 1"], None),
     "score deep JSON": lambda f: (["score", "--pairs", f.deep], [f"{f.deep}:1"], None),

@@ -195,6 +195,10 @@ class TestEmbedPrev:
         out = fused(params, [[0, 0, 0], [1, 1, 1]])
         assert out.shape == (2, CONFIG.dim)
 
+    def test_ids_must_be_triples(self, params):
+        with pytest.raises(ShapeMismatch, match="id triples"):
+            forward(params, [[0, 0]])
+
 
 class TestCompositeLoss:
     def test_uniform_logits_give_log_vocab(self):
@@ -219,6 +223,11 @@ class TestCompositeLoss:
         targets = {"init": [0, 0], "rhyme": [0, 0], "tone": [0]}
         with pytest.raises(LengthMismatch):
             composite_loss(logits, targets)
+
+    def test_logit_rows_must_match_targets(self):
+        logits = {h: np.zeros((3, v)) for h, v in CONFIG.vocab_sizes.items()}
+        with pytest.raises(LengthMismatch, match="3 logit rows vs 2 targets"):
+            composite_loss(logits, {h: [0, 0] for h in HEADS})
 
     def test_softmax_sums_to_one(self):
         rng = np.random.default_rng(9)
@@ -269,6 +278,13 @@ class TestGradients:
             array -= 0.05 * grads[name]
         new_loss, _ = sequence_loss(params, ids, targets)
         assert new_loss < loss
+
+    def test_suite_lists_each_failing_config(self):
+        summary = head.run_grad_suite(n_configs=2, tolerance=0.0)  # no error is below 0
+        assert not summary["passed"]
+        assert summary["failures"] == [
+            {"config": k, "parameters": grad_check(*toy_batch(k), tolerance=0.0).failures} for k in (0, 1)
+        ]
 
     def test_report_dict_shape(self):
         report = GradCheckReport(rows=(("fuse", 1e-7),), tolerance=1e-4)

@@ -133,6 +133,11 @@ class TestSyllable:
         s = Syllable(vowel="a", initial="w")
         assert any("unknown initial" in v for v in validate(s))
 
+    @pytest.mark.parametrize("component", ["vowel", "glide", "final"])
+    def test_each_unknown_component_is_named(self, component):
+        s = Syllable(**{"vowel": "a", component: "w"})
+        assert validate(s) == [f"unknown {component}: 'w'"]
+
 
 class TestRhymeTable:
     def test_unique_triples(self):
