@@ -1,10 +1,11 @@
 """Transcript manifest ingestion, non-Vietnamese detection, and filtering.
 
 Manifests are JSONL with string fields {id, transcript, split}, split
-optional; unknown fields (audio paths etc.) pass through untouched.  A word
-counts as Vietnamese when it parses as a syllable AND renders back to itself —
-the round-trip guard rejects pseudo-parses and spelling variants outside the
-canonical orthography.
+optional; unknown fields (audio paths etc.) pass through untouched, but
+non_vietnamese_words, the filter's own output, is recomputed on every run.  A
+word counts as Vietnamese when it parses as a syllable AND renders back to
+itself — the round-trip guard rejects pseudo-parses and spelling variants
+outside the canonical orthography.
 A closed-set word (tokenizer.closed_syllables) is a table hit, accepted
 without a parse; every other word takes the rule path: parse, render, compare.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import json
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .tokenizer import TokenizeError, closed_syllables, parse_syllable, render_syllable
@@ -78,21 +80,15 @@ class TranscriptRecord:
     utterance_id: str
     transcript: str
     split: str | None = None  # absent from the manifest line, unlike an empty split
-    verdict: str = ""  # "vietnamese" | "contains_non_vietnamese"
-    offending: list[str] = field(default_factory=list)
+    offending: list[str] = field(default_factory=list)  # set by filter_manifest; non-empty = discarded
     extras: dict = field(default_factory=dict)
-
-    def classify(self) -> "TranscriptRecord":
-        self.offending = offending_words(self.transcript)
-        self.verdict = "contains_non_vietnamese" if self.offending else "vietnamese"
-        return self
 
     def to_json(self) -> str:
         payload = {"id": self.utterance_id, "transcript": self.transcript}
         if self.split is not None:
             payload["split"] = self.split
         payload.update(self.extras)
-        if self.verdict == "contains_non_vietnamese":
+        if self.offending:
             payload["non_vietnamese_words"] = self.offending
         return json.dumps(payload, ensure_ascii=False)
 
@@ -110,6 +106,7 @@ def parse_manifest_line(line: str, line_number: int) -> TranscriptRecord:
     for key in ("id", "transcript", "split"):
         if not isinstance(payload.get(key, ""), str):
             raise MalformedManifestLine(line_number, f"field {key!r} must be a string")
+    payload.pop("non_vietnamese_words", None)
     return TranscriptRecord(
         utterance_id=payload.pop("id"),
         transcript=payload.pop("transcript"),
@@ -153,21 +150,15 @@ class CorpusStats:
 
 
 def filter_manifest(records: list[TranscriptRecord]):
-    """Partition records into (kept, discarded, stats); classifies in place."""
+    """Partition records into (kept, discarded, stats); sets each record's offending words."""
     kept, discarded = [], []
-    totals: dict[str, list[int]] = {}
     for record in records:
-        record.classify()
-        split = record.split or "(unsplit)"
-        bucket = totals.setdefault(split, [0, 0])
-        bucket[0] += 1
-        if record.verdict == "contains_non_vietnamese":
-            bucket[1] += 1
-            discarded.append(record)
-        else:
-            kept.append(record)
+        record.offending = offending_words(record.transcript)
+        (discarded if record.offending else kept).append(record)
+    totals = Counter(record.split or "(unsplit)" for record in records)
+    flagged = Counter(record.split or "(unsplit)" for record in discarded)
     stats = CorpusStats(
-        splits={name: SplitStats(t, f) for name, (t, f) in totals.items()},
+        splits={name: SplitStats(total, flagged[name]) for name, total in totals.items()},
         overall=SplitStats(len(records), len(discarded)),
     )
     return kept, discarded, stats

@@ -152,9 +152,7 @@ def validate(syllable: Syllable, strict: bool = False) -> list[str]:
     holds for the bundled lexicon but is not part of the core rule listing.
     """
     violations = []
-    if not syllable.vowel:
-        violations.append("missing nucleus")
-    elif syllable.vowel not in VOWEL_IPAS:
+    if syllable.vowel not in VOWEL_IPAS:
         violations.append(f"unknown vowel: {syllable.vowel!r}")
     if syllable.initial is not None and syllable.initial not in INITIAL_IPAS:
         violations.append(f"unknown initial: {syllable.initial!r}")

@@ -130,14 +130,8 @@ _CONTEXTS = {
 def _match_class(word: str, phoneme_class: PhonemeClass, stats: ParseStats | None):
     """First matching rule of one class: (rule, remainder), or (None, word).
 
-    A final must be the whole word: one lookup, not a prefix scan.  Other
-    classes scan only the rules that share the word's first letter.
+    Only the rules that share the word's first letter are scanned.
     """
-    if phoneme_class is PhonemeClass.FINAL:
-        if stats is not None:
-            stats.comparisons += 1
-        rule = _FINALS.get(word)
-        return (rule, "") if rule is not None else (None, word)
     for rule in _BUCKETS[phoneme_class].get(word[:1], ()):
         if stats is not None:
             stats.comparisons += 1
@@ -186,7 +180,9 @@ def parse_syllable(word: str, stats: ParseStats | None = None) -> ParseResult:
 
         final_rule = None
         if rest:
-            final_rule, rest = _match_class(rest, PhonemeClass.FINAL, stats)
+            final_rule = _FINALS.get(rest)  # a final is the whole remainder: one lookup, not a scan
+            if stats is not None:
+                stats.comparisons += 1
             if final_rule is None:
                 raise ParseFailure(word, rest)
 

@@ -130,11 +130,28 @@ class TestManifest:
         assert stats.overall.percent == pytest.approx(10.0)
         assert discarded[0].offending == ["okay"]
 
-    def test_verdict_iff_offending_nonempty(self):
-        records = load_manifest(self._lines(["ba mẹ", "ba xyz"]))
-        _, _, _ = filter_manifest(records)
+    def test_discarded_iff_offending_nonempty(self):
+        # clean, foreign and lax-only ("bat": level tone on a stop final, outside the lexicon)
+        records = load_manifest(self._lines(["ba mẹ", "ba xyz", "bat but boach"]))
+        kept, discarded, _ = filter_manifest(records)
+        assert [r.utterance_id for r in kept] == ["utt0", "utt2"]
+        assert all(not r.offending for r in kept)
+        assert all(r.offending for r in discarded)
         for record in records:
-            assert (record.verdict == "contains_non_vietnamese") == bool(record.offending)
+            assert ("non_vietnamese_words" in json.loads(record.to_json())) == (record in discarded)
+
+    def test_stale_offending_list_is_not_copied_through(self):
+        line = '{"id": "u1", "transcript": "ba mẹ", "split": "train", "non_vietnamese_words": ["okay"]}'
+        kept, discarded, stats = filter_manifest(load_manifest([line]))
+        assert len(kept) == 1 and not discarded and stats.overall.flagged == 0
+        assert json.loads(kept[0].to_json()) == {"id": "u1", "transcript": "ba mẹ", "split": "train"}
+
+    def test_still_foreign_record_gets_its_new_list_last(self):
+        line = '{"id": "u2", "transcript": "ba okay", "non_vietnamese_words": ["old"], "audio": "a.wav"}'
+        _, (record,), _ = filter_manifest(load_manifest([line]))
+        assert record.to_json() == (
+            '{"id": "u2", "transcript": "ba okay", "audio": "a.wav", "non_vietnamese_words": ["okay"]}'
+        )
 
     def test_idempotent(self):
         transcripts = ["ba mẹ"] * 7 + ["hello ba", "ba 123", "đi chơi"]

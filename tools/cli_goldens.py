@@ -4,10 +4,11 @@ Run from the repository root:  python tools/cli_goldens.py
 Each case of CASES runs `vietphon.cli.main` in a scratch directory that holds
 a copy of tests/data/cli/in/, so the file names in messages are the bare
 input names.  Its exit code, stdout, stderr and every file it writes under
-out/ are stored in tests/data/cli/<case>/.  tests/test_cli_golden.py runs the
-same cases and fails on any difference, so rerun this script only for a
-change that means to alter CLI output, and say so where the change is
-recorded.
+out/ are stored in tests/data/cli/<case>/.  Only a case that is new or whose
+output differs is rewritten, and the script prints the names it wrote and how
+many cases were unchanged.  tests/test_cli_golden.py runs the same cases and
+fails on any difference, so rerun this script only for a change that means to
+alter CLI output, and say so where the change is recorded.
 """
 
 import contextlib
@@ -43,6 +44,8 @@ CASES = {
     "score_foreign": ["score", "--pairs", "pairs_foreign.jsonl"],
     "score_foreign_no_per": ["score", "--pairs", "pairs_foreign.jsonl", "--no-per"],
     "filter": ["filter", "manifest.jsonl", "-o", "out/kept.jsonl", "--discard-file", "out/discarded.jsonl"],
+    "filter_refiltered": ["filter", "manifest_refiltered.jsonl", "-o", "out/kept.jsonl",
+                          "--discard-file", "out/discarded.jsonl"],
     "vocab_bundled": ["vocab", "-o", "out/vocab.tsv"],
     "demo_head_100": ["demo-head", "--configs", "100"],
     "demo_head_20_input": ["demo-head", "--configs", "20", "--residual", "input"],
@@ -76,13 +79,20 @@ def stored(name: str) -> dict[str, bytes]:
 
 
 def write() -> None:
+    """Rewrite the golden files of each case that is new or whose output differs."""
+    written = []
     for name in CASES:
+        produced = run_case(name)
         case_dir = GOLDEN / name
+        if case_dir.is_dir() and produced == stored(name):
+            continue
         shutil.rmtree(case_dir, ignore_errors=True)
         case_dir.mkdir()
-        for file_name, content in run_case(name).items():
+        for file_name, content in produced.items():
             (case_dir / file_name).write_bytes(content)
-    print(f"wrote {len(CASES)} cases to {GOLDEN}")
+        written.append(name)
+    print(f"wrote {len(written)} of {len(CASES)} cases to {GOLDEN}: {', '.join(written) or '(none)'}; "
+          f"{len(CASES) - len(written)} unchanged")
 
 
 if __name__ == "__main__":
