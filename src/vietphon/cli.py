@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -244,7 +245,9 @@ def _cmd_demo_head(args) -> int:
     return 0 if summary["passed"] else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use; no argument has a mutable default."""
     parser = argparse.ArgumentParser(prog="vietphon",
                                      description="Vietnamese phonemic analysis toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -17,8 +17,9 @@ arrays, and the forward pass, the gradients and the file read them by name.
 Every parameter array may carry a leading batch axis of B variants (the other
 arrays stay unbatched and broadcast): ``forward`` then returns logits with a
 leading axis of B and ``sequence_loss`` one total per variant.  The finite
-difference check uses this to perturb every entry of one array in one loss
-call, in chunks of at most ``FD_CHUNK_FLOATS`` floats of copies and activations.
+difference check uses this to perturb every entry of a pack of same-prefix
+arrays in one loss call; a pack of several arrays fits one ``FD_CHUNK_FLOATS``
+chunk, and only an array alone in its pack is split into several.
 
 numpy is imported on the first read of an ``np`` attribute, not with this
 module.  ``cli`` imports this module at its top, and perfbench's tracer finds
@@ -52,8 +53,9 @@ TONE_SPACE = 6
 LN_EPS = 1e-5
 HEAD_PARTS = ("ln_gain", "ln_bias", "w_up", "w_down", "w_out", "b_out")
 #: most floats (8 MB) one finite-difference chunk holds in perturbed copies and
-#: their forward activations, whatever the array and sequence lengths; a chunk
-#: has at least one entry
+#: their forward activations, whatever the array and sequence lengths; a pack of
+#: several arrays always fits one chunk, and only a single array is ever split,
+#: into chunks of at least one entry
 FD_CHUNK_FLOATS = 1 << 20
 
 
@@ -299,32 +301,48 @@ def finite_difference_grads(params: HeadParams, prev_ids, targets,
                             residual: str = "normalized", step: float = 1e-5):
     """Central differences of the composite loss for every parameter entry.
 
-    For each array the P copies with one entry raised by step and the P with
-    it lowered are stacked on a leading batch axis and go through one
-    sequence_loss call, split into chunks whose copies and forward activations
-    hold at most FD_CHUNK_FLOATS floats.  The caller's arrays are read, never
-    written.
+    Consecutive arrays of one name prefix (``fuse``, ``embed``, ``init``,
+    ``rhyme``, ``tone``) form a pack while the whole pack fits one chunk of
+    copies and forward activations of at most FD_CHUNK_FLOATS floats: a pack
+    of several arrays always fits one chunk, and only a single array is ever
+    split.  A pack's P copies with one entry raised by step and the P with it
+    lowered are stacked on a leading batch axis and go through one
+    sequence_loss call per chunk.  The caller's arrays are read, never written.
     """
     arrays = params.arrays
     # a variant's forward activations per step, about: embeddings and fused
     # features, three FFN caches, and logits with their softmax temporaries
     width = 25 * params.config.dim + 4 * sum(params.config.vocab_sizes.values())
     steps = len(np.atleast_2d(prev_ids))
+
+    def per_chunk(size):
+        return max(1, FD_CHUNK_FLOATS // (2 * (size + steps * width)))
+
+    # every variant copies its whole pack, so only a pack that fits one chunk saves work
+    packs = []
+    for name in arrays:
+        size = sum(arrays[other].size for other in [*packs[-1], name]) if packs else 0
+        if packs and packs[-1][0].split(".")[0] == name.split(".")[0] and per_chunk(size) >= size:
+            packs[-1].append(name)
+        else:
+            packs.append([name])
     grads = {}
-    for name, array in arrays.items():
-        flat = array.reshape(-1)
-        grad = np.empty(flat.size)
-        per_chunk = max(1, FD_CHUNK_FLOATS // (2 * (flat.size + steps * width)))
-        for start in range(0, flat.size, per_chunk):
-            index = np.arange(start, min(start + per_chunk, flat.size))
+    for pack in packs:
+        flat = np.concatenate([arrays[name].reshape(-1) for name in pack])
+        bounds = np.cumsum([arrays[name].size for name in pack])[:-1]
+        grad, chunk = np.empty(flat.size), per_chunk(flat.size)
+        for start in range(0, flat.size, chunk):
+            index = np.arange(start, min(start + chunk, flat.size))
             rows = np.arange(len(index))
             batch = np.tile(flat, (2, len(index), 1))  # row i of [0] raises entry index[i], of [1] lowers it
             batch[0, rows, index] += step
             batch[1, rows, index] -= step
-            variants = HeadParams(params.config, {**arrays, name: batch.reshape(-1, *array.shape)})
-            up, down = sequence_loss(variants, prev_ids, targets, residual)[0].reshape(2, -1)
+            columns = np.split(batch.reshape(-1, flat.size), bounds, axis=1)
+            variants = {name: column.reshape(-1, *arrays[name].shape) for name, column in zip(pack, columns)}
+            up, down = sequence_loss(HeadParams(params.config, {**arrays, **variants}),
+                                     prev_ids, targets, residual)[0].reshape(2, -1)
             grad[index] = (up - down) / (2.0 * step)
-        grads[name] = grad.reshape(array.shape)
+        grads.update((name, part.reshape(arrays[name].shape)) for name, part in zip(pack, np.split(grad, bounds)))
     return grads
 
 

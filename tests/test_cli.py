@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import errno
 import io
@@ -322,6 +323,19 @@ class TestDefaults:
             "residual": "normalized",
             "nfd_ok": True,
         }
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_no_argument_has_a_mutable_default(self):
+        # the cached parser would hand one such default to every main call
+        parsers, defaults = [build_parser()], []
+        for parser in parsers:
+            defaults += [action.default for action in parser._actions] + list(parser._defaults.values())
+            parsers += [sub for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction) for sub in action.choices.values()]
+        assert len(parsers) == 9
+        assert not [default for default in defaults if isinstance(default, (list, dict, set))]
 
     def test_unknown_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

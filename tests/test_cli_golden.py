@@ -21,6 +21,12 @@ def test_output_is_golden(name):
     assert goldens.run_case(name) == goldens.stored(name)
 
 
+def test_cases_run_again_in_reverse_give_the_same_output():
+    # build_parser is cached, so no flag of one main call may leak into the next
+    for name in [*sorted(goldens.CASES), *reversed(sorted(goldens.CASES))]:
+        assert goldens.run_case(name) == goldens.stored(name), name
+
+
 def test_every_golden_directory_is_a_case():
     case_dirs = {path.name for path in goldens.GOLDEN.iterdir() if path.name != "in"}
     assert case_dirs == set(goldens.CASES)

@@ -358,6 +358,14 @@ def variants(params, names, count, seed):
 PARAM_NAMES = list(init_params(CONFIG).arrays)
 
 
+def loss_calls(monkeypatch):
+    """The list of HeadParams that each later head.sequence_loss call receives."""
+    calls = []
+    monkeypatch.setattr(head, "sequence_loss",
+                        lambda params, *args: calls.append(params) or sequence_loss(params, *args))
+    return calls
+
+
 class TestBatchedFiniteDifferences:
     @pytest.mark.parametrize("residual", ["normalized", "input"])
     def test_equals_the_per_entry_loop(self, residual):
@@ -380,16 +388,20 @@ class TestBatchedFiniteDifferences:
         for name in want:
             assert np.array_equal(got[name], want[name]), name
 
-    @pytest.mark.parametrize("chunk_floats", [1, 100])  # one entry a chunk; several, the last one short
+    # 1 and 100 split every array; at 150,000 each head's six arrays make two packs of three
+    @pytest.mark.parametrize("chunk_floats", [1, 100, 150_000])
     def test_chunks_give_the_one_chunk_result(self, chunk_floats, monkeypatch):
         for residual in ("normalized", "input"):
             params, ids, targets = toy_batch(seed=7, residual=residual)
             whole = finite_difference_grads(params, ids, targets, residual)
             monkeypatch.setattr(head, "FD_CHUNK_FLOATS", chunk_floats)
+            calls = loss_calls(monkeypatch)
             chunked = finite_difference_grads(params, ids, targets, residual)
             monkeypatch.undo()
             for name in whole:
                 assert np.array_equal(chunked[name], whole[name]), (residual, name)
+            if chunk_floats == 150_000:
+                assert 5 < len(calls) < len(PARAM_NAMES), residual
 
     def test_chunks_bound_memory_on_long_sequences(self, monkeypatch):
         monkeypatch.setattr(head, "FD_CHUNK_FLOATS", 1 << 16)
@@ -407,13 +419,32 @@ class TestBatchedFiniteDifferences:
         # the activations per chunk are estimated, so allow twice the bound
         assert peak < 2 * 8 * head.FD_CHUNK_FLOATS
 
-    def test_one_loss_call_per_array_within_a_chunk(self, monkeypatch):
+    def test_one_loss_call_per_name_prefix_within_a_chunk(self, monkeypatch):
         params, ids, targets = toy_batch(seed=8)
-        calls = []
-        monkeypatch.setattr(head, "sequence_loss",
-                            lambda *args: calls.append(1) or sequence_loss(*args))
+        calls = loss_calls(monkeypatch)
         finite_difference_grads(params, ids, targets)
-        assert len(calls) == len(PARAM_NAMES)
+        batched = [{name.split(".")[0] for name, array in variants.arrays.items()
+                    if array.ndim > params[name].ndim} for variants in calls]
+        assert batched == [{"fuse"}, {"embed"}, {"init"}, {"rhyme"}, {"tone"}]
+
+        monkeypatch.setattr(head, "FD_CHUNK_FLOATS", 1)
+        calls.clear()
+        finite_difference_grads(params, ids, targets)
+        for variants in calls:
+            perturbed = [name for name, array in variants.arrays.items() if np.any(array != params[name])]
+            assert len(perturbed) == 1, perturbed
+
+    def test_packs_never_add_loss_calls_on_a_large_config(self, monkeypatch):
+        config = HeadConfig(dim=16, v_init=23, v_rhyme=152)
+        params = init_params(config, seed=3)
+        ids, targets = [[1, 2, 3]], {"init": [4], "rhyme": [5], "tone": [0]}
+        calls = loss_calls(monkeypatch)
+        finite_difference_grads(params, ids, targets)
+        # one pack per array: chunks of the entries whose copies and activations fit FD_CHUNK_FLOATS
+        width = 25 * config.dim + 4 * sum(config.vocab_sizes.values())
+        per_array = sum(math.ceil(array.size / max(1, head.FD_CHUNK_FLOATS // (2 * (array.size + width))))
+                        for array in params.arrays.values())
+        assert len(calls) <= per_array
 
 
 class TestBatchedForward:
