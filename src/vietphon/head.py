@@ -135,11 +135,11 @@ def _assemble(config: HeadConfig, arrays: dict[str, np.ndarray]) -> HeadParams:
     return HeadParams(config, {name: arrays[name] for name in shapes})
 
 
-def init_params(config: HeadConfig, seed: int = 0, scale: float = 0.1) -> HeadParams:
-    """Seeded uniform initialization in [-scale, scale], reproducible."""
+def init_params(config: HeadConfig, seed: int = 0) -> HeadParams:
+    """Seeded uniform initialization in [-0.1, 0.1], reproducible."""
     rng = np.random.default_rng(seed)
     shapes = _param_shapes(config)
-    return _assemble(config, {name: rng.uniform(-scale, scale, size=shapes[name]) for name in _DRAW_ORDER})
+    return _assemble(config, {name: rng.uniform(-0.1, 0.1, size=shapes[name]) for name in _DRAW_ORDER})
 
 
 # ---------------------------------------------------------------------------

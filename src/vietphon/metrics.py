@@ -203,9 +203,9 @@ def per_components(ref: str, hyp: str, alignment: str = "tuple") -> PerReport:
     return PerReport(parts["initial"], parts["rhyme"], parts["tone"], overall)
 
 
-def per(ref: str, hyp: str, alignment: str = "tuple") -> ErrorRateReport:
-    """Aggregate phoneme error rate over the three component streams."""
-    return per_components(ref, hyp, alignment).overall
+def per(ref: str, hyp: str) -> ErrorRateReport:
+    """Aggregate phoneme error rate over the three component streams, tuple-aligned."""
+    return per_components(ref, hyp).overall
 
 
 def score_pairs(pairs, include_spaces: bool = False, alignment: str = "tuple",

@@ -52,18 +52,14 @@ class PhonemeClass(enum.Enum):
 
 @dataclass(frozen=True)
 class GraphemeRule:
-    """One written form of one phoneme, with an optional parse-side context."""
+    """One written form of one phoneme, with an optional parse-side context.
+
+    The table's kind, tag and note columns are for readers of `vietphon rules`; no field holds them."""
 
     written_form: str
     ipa: str
     phoneme_class: PhonemeClass
-    kind: str = ""  # "monophthong" / "diphthong" for vowels, "" otherwise
     context: str = ""  # context tag; "" means unconditional
-    tag: str = "core"
-
-    @property
-    def match_priority(self) -> int:
-        return len(self.written_form)
 
 
 def rules_text() -> str:
@@ -80,17 +76,9 @@ def _load_rules() -> tuple[GraphemeRule, ...]:
             version = line.split(":", 1)[1].strip()
         if not line or line.startswith("#"):
             continue
-        cls, kind, form, ipa, context, tag, _note = line.split("\t")
-        rules.append(
-            GraphemeRule(
-                written_form=form,
-                ipa=ipa,
-                phoneme_class=PhonemeClass(cls),
-                kind="" if kind == "-" else kind,
-                context="" if context == "-" else context,
-                tag=tag,
-            )
-        )
+        cls, _kind, form, ipa, context, _tag, _note = line.split("\t")  # seven columns, or import fails
+        rules.append(GraphemeRule(written_form=form, ipa=ipa, phoneme_class=PhonemeClass(cls),
+                                  context="" if context == "-" else context))
     if version != RULES_VERSION:
         raise RuntimeError(f"rule table version {version!r} != expected {RULES_VERSION!r}")
     return tuple(rules)
@@ -99,12 +87,10 @@ def _load_rules() -> tuple[GraphemeRule, ...]:
 RULES: tuple[GraphemeRule, ...] = _load_rules()
 
 
-def inventory(phoneme_class: PhonemeClass, kind: str | None = None) -> list[GraphemeRule]:
-    """Full rule table for one class: longest written form first, a context row before the plain row of its form."""
+def inventory(phoneme_class: PhonemeClass) -> list[GraphemeRule]:
+    """One class's rules by written-form length, longest first; a form's context row before its plain row."""
     rules = [r for r in RULES if r.phoneme_class is phoneme_class]
-    if kind is not None:
-        rules = [r for r in rules if r.kind == kind]
-    return sorted(rules, key=lambda r: (-r.match_priority, r.written_form, not r.context))
+    return sorted(rules, key=lambda r: (-len(r.written_form), r.written_form, not r.context))
 
 
 def _ipa_set(phoneme_class: PhonemeClass) -> frozenset[str]:

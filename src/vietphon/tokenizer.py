@@ -82,8 +82,6 @@ class ParseStats:
 #: documented upper bound on rule comparisons per word (total rule-table size)
 MAX_RULE_COMPARISONS = 58
 
-_TONE_MARKS = frozenset(TONE_BY_MARK)
-
 
 def strip_tone(word: str) -> NormalizedWord:
     """Extract the single tone mark from a word, wherever it sits.
@@ -95,7 +93,7 @@ def strip_tone(word: str) -> NormalizedWord:
     tone = None
     kept = []
     for ch in unicodedata.normalize("NFD", word):
-        if ch in _TONE_MARKS:
+        if ch in TONE_BY_MARK:
             if tone is not None:
                 raise MultipleToneMarks(word)
             tone = TONE_BY_MARK[ch]

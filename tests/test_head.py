@@ -12,6 +12,7 @@ from vietphon.head import (
     HEADS,
     GradCheckReport,
     HeadConfig,
+    HeadParams,
     IdOutOfRange,
     LengthMismatch,
     NonFiniteInput,
@@ -250,7 +251,8 @@ class TestGradients:
             assert report.passed, (residual, report.max_rel_err)
 
     def test_all_zero_parameters(self):
-        params = init_params(HeadConfig(dim=3, v_init=4, v_rhyme=5), scale=0.0)
+        drawn = init_params(HeadConfig(dim=3, v_init=4, v_rhyme=5))
+        params = HeadParams(drawn.config, {name: np.zeros_like(array) for name, array in drawn.arrays.items()})
         ids = [[0, 0, 0], [1, 2, 3]]
         targets = {"init": [0, 1], "rhyme": [2, 0], "tone": [5, 1]}
         report = grad_check(params, ids, targets)
@@ -388,8 +390,9 @@ class TestBatchedFiniteDifferences:
         for name in want:
             assert np.array_equal(got[name], want[name]), name
 
-    # 1 and 100 split every array; at 150,000 each head's six arrays make two packs of three
-    @pytest.mark.parametrize("chunk_floats", [1, 100, 150_000])
+    # 1 and 100 give every chunk one entry; 8,000 splits fuse (108 entries) into 15 chunks
+    # of 7 and a last chunk of 3; at 150,000 each head's six arrays make two packs of three
+    @pytest.mark.parametrize("chunk_floats", [1, 100, 8_000, 150_000])
     def test_chunks_give_the_one_chunk_result(self, chunk_floats, monkeypatch):
         for residual in ("normalized", "input"):
             params, ids, targets = toy_batch(seed=7, residual=residual)
@@ -400,6 +403,11 @@ class TestBatchedFiniteDifferences:
             monkeypatch.undo()
             for name in whole:
                 assert np.array_equal(chunked[name], whole[name]), (residual, name)
+            if chunk_floats == 8_000:
+                perturbed = [(np.any(array != params[name], axis=0).sum(), array[0].size)
+                             for variants in calls for name, array in variants.arrays.items()
+                             if array.ndim > params[name].ndim]
+                assert any(1 < count < size for count, size in perturbed), residual
             if chunk_floats == 150_000:
                 assert 5 < len(calls) < len(PARAM_NAMES), residual
 

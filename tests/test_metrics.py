@@ -1,5 +1,6 @@
 import math
 import random
+import unicodedata
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,21 @@ class TestRates:
         decomposed = unicodedata.normalize("NFD", "kiệm")
         assert cer("kiệm", decomposed).rate == 0
 
+    # wer is left out: it does not compose its input yet (ROADMAP item 1)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_nfd_input_moves_neither_cer_nor_per(self, lexicon, data):
+        # words from a small pool, so that the two sides share words and characters
+        pool = data.draw(st.lists(st.sampled_from(lexicon), min_size=1, max_size=4))
+        sentences = st.lists(st.sampled_from(pool), max_size=5).map(" ".join)
+        ref, hyp = data.draw(sentences), data.draw(sentences)
+        nfd_ref, nfd_hyp = unicodedata.normalize("NFD", ref), unicodedata.normalize("NFD", hyp)
+        for r, h in ((nfd_ref, hyp), (ref, nfd_hyp), (nfd_ref, nfd_hyp)):
+            for include_spaces in (False, True):
+                assert cer(r, h, include_spaces) == cer(ref, hyp, include_spaces)
+            for alignment in ("tuple", "flat"):
+                assert per_components(r, h, alignment) == per_components(ref, hyp, alignment)
+
     def test_rate_can_exceed_one(self):
         report = wer("a", "x y z")
         assert report.rate > 1
@@ -165,7 +181,8 @@ class TestPer:
 
     def test_flat_mode_differs_only_in_alignment(self):
         ref, hyp = "ba mẹ", "bà mẹ"
-        assert per(ref, hyp, alignment="flat").rate == per(ref, hyp, alignment="tuple").rate
+        flat = per_components(ref, hyp, alignment="flat").overall
+        assert flat.rate == per_components(ref, hyp, alignment="tuple").overall.rate
 
     def test_flat_mode_realigns_streams_independently(self):
         # hypothesis missing the middle word: flat tone stream can re-align
@@ -176,7 +193,7 @@ class TestPer:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            per("ba", "ba", alignment="greedy")
+            per_components("ba", "ba", alignment="greedy")
 
     def test_parse_failure_propagates(self):
         with pytest.raises(ParseFailure):

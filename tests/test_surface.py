@@ -1,11 +1,29 @@
 """Nothing in the package exists for the tests alone, and no module reads another's private names.
 
-Every function and class defined under src/vietphon (methods included,
-dunder methods excepted: the language calls those) must appear as a NAME
-token in src/, tools/ or perfbench/ somewhere other than its own
-definition.  The check reads names, not types: an attribute that nothing
-reads, such as a dataclass field or an enum value member, is out of its
-reach.
+Three checks look for uses, in src/, tools/ or perfbench/ (the readers),
+of what src/vietphon defines; a use under tests/ does not count.
+
+- Functions and classes.  Each one defined in the package (methods
+  included, dunder methods excepted: the language calls those) must appear
+  as a NAME token in the readers somewhere other than its own definition.
+- Parameters with a default.  Each one of a package function must be
+  passed by some call in the readers: by keyword, by position (a method's
+  self or cls not counted), or through a ``*`` or ``**`` argument.  Calls
+  are matched by the called name alone (a method by its attribute name,
+  ``__init__`` by its class name), so functions of one name share their
+  calls; other dunder methods are exempt.
+- Dataclass fields and ``property``/``cached_property`` members.  Each one
+  of a package class must be read by some attribute load in the readers,
+  matched by attribute name alone.  A write, ``+=`` included, is not a
+  read, and neither is a read through ``dataclasses.fields`` or ``getattr``.
+
+All three read names, not types, so a use of another definition with the
+same name counts.  Enum value members and attributes set in ``__init__``
+are out of their reach.
+
+ALLOWED names the hooks that only the acceptance tests pass or read, each
+with the criterion of tests/test_acceptance.py that needs it.  An entry
+the checks no longer find fails too, so the list cannot go stale.
 
 A "_"-prefixed name is private to the module that defines it: no package
 module may import one from another package module, or read one as an
@@ -13,6 +31,7 @@ attribute of a package module it imported.
 """
 
 import ast
+import functools
 import pathlib
 import tokenize
 
@@ -20,14 +39,35 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "vietphon"
 READERS = ("src", "tools", "perfbench")
 
+ALLOWED = {
+    "parse_syllable(stats=)": "criterion 9 counts each lexicon word's rule comparisons through it",
+    "grad_check(corrupt=)": "criterion 6 checks that a corrupted gradient fails the check",
+    "run_grad_suite(step=)": "criterion 6 states the finite-difference step it runs at",
+    "run_grad_suite(tolerance=)": "criterion 6 states the relative-error tolerance it passes at",
+    "ParseResult.graphemes": "criterion 2 compares each golden word's matched written forms",
+}
+
+
+def _trees(*tops):
+    """(path, module AST) of every Python file under the given directories."""
+    for top in tops:
+        for path in sorted(top.rglob("*.py")):
+            yield path, ast.parse(path.read_text("utf-8"))
+
+
+def _package_nodes():
+    """(path, node) of every AST node of the package."""
+    for path, tree in _trees(PACKAGE):
+        for node in ast.walk(tree):
+            yield path, node
+
 
 def _definitions():
     """(name, path, line) of every function and class defined in the package."""
-    for path in sorted(PACKAGE.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not (node.name.startswith("__") and node.name.endswith("__")):
-                    yield node.name, path, node.lineno
+    for path, node in _package_nodes():
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield node.name, path, node.lineno
 
 
 def _name_tokens():
@@ -53,6 +93,102 @@ def test_every_definition_is_reached_outside_the_tests():
     assert unreached == []
 
 
+@functools.cache
+def _reader_nodes() -> tuple:
+    """Every AST node of the reading directories."""
+    return tuple(node for _, tree in _trees(*(ROOT / top for top in READERS)) for node in ast.walk(tree))
+
+
+def _decorator_names(node):
+    return {d.id if isinstance(d, ast.Name) else d.attr
+            for d in (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+            if isinstance(d, (ast.Name, ast.Attribute))}
+
+
+def _defaulted_parameters():
+    """(call name, parameter, position or None, path, line) of every parameter with a default.
+
+    The position counts the arguments a call writes, so a method's first
+    parameter (self or cls) is not counted; a keyword-only parameter has none.
+    """
+    nodes = list(_package_nodes())
+    methods = {id(member): cls for _, cls in nodes if isinstance(cls, ast.ClassDef) for member in cls.body}
+    for path, node in nodes:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        name = node.name
+        cls = methods.get(id(node))
+        if name == "__init__" and cls is not None:
+            name = cls.name
+        elif name.startswith("__") and name.endswith("__"):
+            continue
+        positional = node.args.posonlyargs + node.args.args
+        if cls is not None:
+            positional = positional[1:]
+        first = len(positional) - len(node.args.defaults)
+        for index, arg in enumerate(positional[first:], start=first):
+            yield name, arg.arg, index, path, arg.lineno
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None, path, arg.lineno
+
+
+def _passes(call: ast.Call, parameter: str, position: int | None) -> bool:
+    """Whether a call passes a parameter: by keyword, by position, or through * or **."""
+    if any(kw.arg in (None, parameter) for kw in call.keywords):
+        return True
+    return position is not None and (len(call.args) > position
+                                     or any(isinstance(arg, ast.Starred) for arg in call.args))
+
+
+def _called_name(call: ast.Call):
+    return call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+
+
+def _never_passed():
+    """(key, place) of every defaulted parameter that no call in the readers passes."""
+    calls: dict[str, list] = {}
+    for node in _reader_nodes():
+        if isinstance(node, ast.Call):
+            calls.setdefault(_called_name(node), []).append(node)
+    for name, parameter, position, path, line in _defaulted_parameters():
+        if not any(_passes(call, parameter, position) for call in calls.get(name, ())):
+            yield f"{name}({parameter}=)", f"{path.relative_to(ROOT)}:{line}"
+
+
+def _unread_attributes():
+    """(key, place) of every dataclass field or property that no attribute load in the readers reads."""
+    reads = {node.attr for node in _reader_nodes()
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    for path, cls in _package_nodes():
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        dataclass = "dataclass" in _decorator_names(cls)
+        for node in cls.body:
+            if dataclass and isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                name = node.target.id
+            elif (isinstance(node, ast.FunctionDef)
+                    and _decorator_names(node) & {"property", "cached_property"}):
+                name = node.name
+            else:
+                continue
+            if name not in reads:
+                yield f"{cls.name}.{name}", f"{path.relative_to(ROOT)}:{node.lineno}"
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    assert sorted(f"{place}: {key}" for key, place in _never_passed() if key not in ALLOWED) == []
+
+
+def test_every_field_and_property_is_read_outside_the_tests():
+    assert sorted(f"{place}: {key}" for key, place in _unread_attributes() if key not in ALLOWED) == []
+
+
+def test_every_allowed_hook_is_still_unused_outside_the_tests():
+    found = {key for key, _ in _never_passed()} | {key for key, _ in _unread_attributes()}
+    assert sorted(set(ALLOWED) - found) == []
+
+
 def _is_private(name):
     return name.startswith("_") and not name.endswith("__")
 
@@ -64,8 +200,7 @@ def _package_import(node):
 
 def test_no_module_reads_another_modules_private_names():
     reads = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        tree = ast.parse(path.read_text("utf-8"))
+    for path, tree in _trees(PACKAGE):
         modules = set()  # local names bound to package modules
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and _package_import(node):
