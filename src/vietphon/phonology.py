@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 RULES_VERSION = "1"
 
@@ -28,6 +29,10 @@ class Tone(enum.Enum):
     def __init__(self, label: str, mark: str):
         self.label = label
         self.mark = mark
+
+    # Members are singletons that == compares by identity, so the identity hash agrees with it and, unlike
+    # Enum.__hash__, runs in C inside every Syllable hash.  No output follows hash order (see test_cli_golden.py).
+    __hash__ = object.__hash__
 
     @classmethod
     def from_label(cls, label: str) -> "Tone":
@@ -108,23 +113,34 @@ STOP_FINALS = frozenset({"p", "t", "k", "c"})
 STOP_TONES = frozenset({Tone.MID_RAISING, Tone.MID_GLOTTALIZED_RAISING})
 
 
-@dataclass(frozen=True, slots=True)
-class Syllable:
-    """Five-field phonemic decomposition of one Vietnamese word.
-
-    Components are IPA strings from the rule table; the vowel nucleus is
-    compulsory, everything else may be absent.
-    """
-
+class _SyllableFields(NamedTuple):
     vowel: str
     initial: str | None = None
     glide: str | None = None
     final: str | None = None
     tone: Tone = Tone.FLAT
 
-    def __post_init__(self):
-        if not self.vowel:
+
+class Syllable(_SyllableFields):
+    """Five-field phonemic decomposition of one Vietnamese word.
+
+    Components are IPA strings from the rule table; the vowel nucleus is
+    compulsory, everything else may be absent.  It equals and hashes as the
+    plain 5-tuple (vowel, initial, glide, final, tone).  Every construction,
+    ``_replace`` included, passes ``_make``'s nucleus check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, vowel, initial=None, glide=None, final=None, tone=Tone.FLAT):
+        return cls._make((vowel, initial, glide, final, tone))
+
+    @classmethod
+    def _make(cls, fields) -> "Syllable":
+        vowel, initial, glide, final, tone = fields
+        if not vowel:
             raise ValueError("missing nucleus: a syllable requires a vowel")
+        return tuple.__new__(cls, (vowel, initial, glide, final, tone))
 
     @property
     def rhyme(self) -> tuple[str | None, str, str | None]:

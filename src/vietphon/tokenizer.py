@@ -409,6 +409,11 @@ def syllable_tokens(syllable: Syllable) -> tuple[str, str, str]:
 
 
 def format_syllable(syllable: Syllable) -> str:
+    """The five component tokens joined by "|"; a closed-set syllable is looked up first, in _wire_tokens()."""
+    try:
+        return _wire_tokens()[syllable]
+    except (KeyError, TypeError):  # outside the closed set; TypeError: an unhashable field
+        pass
     return "|".join(syllable_tokens(syllable))
 
 
@@ -418,9 +423,15 @@ def format_phonemes(syllables) -> str:
 
 
 @functools.cache
+def _wire_tokens() -> Mapping[Syllable, str]:
+    """Read-only closed-set Syllable -> wire token, format_syllable's lookup."""
+    return MappingProxyType({s: "|".join(syllable_tokens(s)) for s in closed_syllables().values()})
+
+
+@functools.cache
 def _syllables_by_token() -> Mapping[str, Syllable]:
-    """Read-only format_syllable(s) -> s over closed_syllables(): the wire-token lookup."""
-    return MappingProxyType({format_syllable(s): s for s in closed_syllables().values()})
+    """Read-only wire token -> Syllable: the inverse of _wire_tokens(), parse_syllable_token's lookup."""
+    return MappingProxyType({token: s for s, token in _wire_tokens().items()})
 
 
 def parse_syllable_token(token: str) -> Syllable:

@@ -3,8 +3,9 @@
 Each syllable encodes as (initial id, rhyme id, tone id).  Ids are assigned
 lexicographically by token string, so two builds from the same lexicon are
 bit-identical; BOS/EOS/PAD occupy the first three ids of every space because
-the downstream decoder is autoregressive.  Ids map back through one slot
-table of the closed set per vocabulary; any other triple takes the rules.
+the downstream decoder is autoregressive.  Closed-set syllables map to and
+from their ids through one slot table per vocabulary; any other syllable or
+triple takes the rules.
 """
 
 from __future__ import annotations
@@ -59,6 +60,12 @@ class Vocabulary:
             raise UnknownComponent(space, token) from None
 
     def encode(self, syllable: Syllable) -> tuple[int, int, int]:
+        """The (initial id, rhyme id, tone id) of a syllable: a closed-set syllable is looked up first, in the
+        inverse of the slot table; otherwise the first token missing from its space raises UnknownComponent."""
+        try:
+            return self._ids_by_syllable[syllable]
+        except (KeyError, TypeError):  # outside the slot table; TypeError: an unhashable field
+            pass
         initial, rhyme, tone = syllable_tokens(syllable)
         return (
             self._lookup("initial", self._initial_ids, initial),
@@ -69,26 +76,23 @@ class Vocabulary:
     def decode(self, ids: tuple[int, int, int]) -> Syllable:
         """The syllable of an (initial id, rhyme id, tone id) triple.
 
-        All three ids are range-checked first: the first out-of-range id, in
-        initial, rhyme, tone order, raises IdOutOfRange for its space.  A
-        filled slot of the slot table, built on the first call, is then
-        returned: the closed-set syllable itself.  On a miss a control-token
-        id (BOS/EOS/PAD) is rejected with UnknownComponent, and any other
-        triple splits its rhyme token by the rules.
+        In-range ids whose slot in the slot table (built on the first call) is
+        filled return that slot: the closed-set syllable itself.  Otherwise the
+        first out-of-range id, in initial, rhyme, tone order, raises
+        IdOutOfRange; then a control-token id (BOS/EOS/PAD) raises
+        UnknownComponent, and any other triple splits its rhyme token by rule.
         """
         init_id, rhyme_id, tone_id = ids
-        spaces = (
-            ("initial", init_id, self.initial_tokens),
-            ("rhyme", rhyme_id, self.rhyme_tokens),
-            ("tone", tone_id, self.tone_tokens),
-        )
-        for space, token_id, tokens in spaces:
+        size_r, size_t = len(self.rhyme_tokens), len(self.tone_tokens)
+        if 0 <= init_id < len(self.initial_tokens) and 0 <= rhyme_id < size_r and 0 <= tone_id < size_t:
+            syllable = self._slots[(init_id * size_r + rhyme_id) * size_t + tone_id]
+            if syllable is not None:
+                return syllable
+        spaces = tuple(zip(self.spaces, (init_id, rhyme_id, tone_id)))
+        for (space, tokens), token_id in spaces:
             if not 0 <= token_id < len(tokens):
                 raise IdOutOfRange(space, token_id, len(tokens))
-        syllable = self._slots[(init_id * len(self.rhyme_tokens) + rhyme_id) * len(self.tone_tokens) + tone_id]
-        if syllable is not None:
-            return syllable
-        for space, token_id, tokens in spaces:
+        for (space, tokens), token_id in spaces:
             if tokens[token_id] in CONTROL_TOKENS:
                 raise UnknownComponent(space, tokens[token_id])
         glide, vowel, final = self.rhyme_tokens[rhyme_id].split("|")
@@ -106,6 +110,13 @@ class Vocabulary:
             if i is not None and r is not None and t is not None:
                 slots[(i * size_r + r) * size_t + t] = s
         return slots
+
+    @functools.cached_property
+    def _ids_by_syllable(self) -> dict[Syllable, tuple[int, int, int]]:
+        """The inverse of the slot table: each filled slot's syllable -> its (i, r, t) ids."""
+        size_r, size_t = len(self.rhyme_tokens), len(self.tone_tokens)
+        return {s: (slot // (size_r * size_t), slot // size_t % size_r, slot % size_t)
+                for slot, s in enumerate(self._slots) if s is not None}
 
     @property
     def spaces(self) -> tuple[tuple[str, tuple[str, ...]], ...]:

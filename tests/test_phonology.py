@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from vietphon.phonology import (
@@ -124,12 +122,16 @@ class TestSyllable:
         with pytest.raises(ValueError, match="nucleus"):
             Syllable(vowel=None)
         with pytest.raises(ValueError, match="nucleus"):
-            dataclasses.replace(Syllable(vowel="a"), vowel="")
+            Syllable(vowel="a")._replace(vowel="")
 
     def test_forced_empty_vowel_fails_validate(self):
-        s = Syllable(vowel="a")
-        object.__setattr__(s, "vowel", "")
+        s = tuple.__new__(Syllable, ("", None, None, None, Tone.FLAT))
         assert validate(s) == ["unknown vowel: ''"]
+
+    def test_equals_and_hashes_as_its_plain_tuple(self, component_syllables):
+        for s in component_syllables:
+            plain = (s.vowel, s.initial, s.glide, s.final, s.tone)
+            assert s == plain and hash(s) == hash(plain)
 
     def test_valid_kiem(self):
         s = Syllable(initial="k", vowel="ie", final="m", tone=Tone.MID_GLOTTALIZED_RAISING)

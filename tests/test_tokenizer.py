@@ -35,6 +35,7 @@ from vietphon.tokenizer import (
     parse_syllable_token,
     render_syllable,
     strip_tone,
+    syllable_tokens,
     tokenize,
 )
 
@@ -362,6 +363,14 @@ class TestWireIndexes:
         with _rule_path():
             assert outcomes() == with_indexes
 
+    def test_wire_token_lookup_is_a_pure_cache(self, component_syllables):
+        closed = set(closed_syllables().values())
+        assert len(component_syllables) == 45_540 and closed <= set(component_syllables)
+        assert set(tokenizer._wire_tokens()) == closed
+        assert tokenizer._syllables_by_token() == {token: s for s, token in tokenizer._wire_tokens().items()}
+        for s in component_syllables:
+            assert format_syllable(s) == "|".join(syllable_tokens(s))
+
     def test_closed_set_renders_without_validate(self):
         with mock.patch.object(tokenizer, "validate", side_effect=AssertionError("validate called")):
             assert {render_syllable(s): s for s in closed_syllables().values()} == closed_syllables()
@@ -448,12 +457,10 @@ class TestProperties:
     @settings(max_examples=100, deadline=None)
     @given(lexicon_words(), st.sampled_from(list(Tone)))
     def test_retoned_syllables_still_roundtrip(self, word, tone):
-        import dataclasses
-
         from vietphon.phonology import STOP_FINALS, STOP_TONES
 
         s = parse_syllable(word).syllable
         if s.final in STOP_FINALS and tone not in STOP_TONES:
             return
-        retoned = dataclasses.replace(s, tone=tone)
+        retoned = s._replace(tone=tone)
         assert parse_syllable(render_syllable(retoned)).syllable == retoned

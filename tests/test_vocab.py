@@ -12,7 +12,7 @@ from vietphon import vocab as vocab_module
 from vietphon.cli import main
 from vietphon.lexicon import iter_syllables
 from vietphon.phonology import RHYMES, Syllable, Tone
-from vietphon.tokenizer import closed_syllables, format_syllable, parse_syllable
+from vietphon.tokenizer import closed_syllables, format_syllable, parse_syllable, syllable_from_tokens, syllable_tokens
 from vietphon.vocab import (
     CONTROL_TOKENS,
     DESIGN_COUNTS,
@@ -199,6 +199,52 @@ class TestClosedSetLookup:
         with_table = _outcome(vocab.decode, ids)
         with _rule_path():
             assert _outcome(vocab.decode, ids) == with_table
+
+
+def _reference_decode(vocab, ids):
+    """decode with every range check ahead of the slot lookup: the error contract's oracle."""
+    init_id, rhyme_id, tone_id = ids
+    spaces = (
+        ("initial", init_id, vocab.initial_tokens),
+        ("rhyme", rhyme_id, vocab.rhyme_tokens),
+        ("tone", tone_id, vocab.tone_tokens),
+    )
+    for space, token_id, tokens in spaces:
+        if not 0 <= token_id < len(tokens):
+            raise IdOutOfRange(space, token_id, len(tokens))
+    syllable = vocab._slots[(init_id * len(vocab.rhyme_tokens) + rhyme_id) * len(vocab.tone_tokens) + tone_id]
+    if syllable is not None:
+        return syllable
+    for space, token_id, tokens in spaces:
+        if tokens[token_id] in CONTROL_TOKENS:
+            raise UnknownComponent(space, tokens[token_id])
+    glide, vowel, final = vocab.rhyme_tokens[rhyme_id].split("|")
+    return syllable_from_tokens(vocab.initial_tokens[init_id], glide, vowel, final, vocab.tone_tokens[tone_id])
+
+
+class TestSyllableIds:
+    def test_encode_is_the_three_lookups(self, vocab, component_syllables):
+        def by_rule(s):
+            initial, rhyme, tone = syllable_tokens(s)
+            return (vocab._lookup("initial", vocab._initial_ids, initial),
+                    vocab._lookup("rhyme", vocab._rhyme_ids, rhyme),
+                    vocab._lookup("tone", vocab._tone_ids, tone))
+
+        outcomes = [(_outcome(vocab.encode, s), _outcome(by_rule, s)) for s in component_syllables]
+        assert all(got == want for got, want in outcomes)
+        raised = [want[0] for _, want in outcomes if isinstance(want[0], type)]
+        assert set(raised) == {UnknownComponent} and 0 < len(raised) < len(outcomes)
+
+    def test_decode_returns_the_closed_set_syllable_itself(self, vocab):
+        for s in closed_syllables().values():
+            assert vocab.decode(vocab.encode(s)) is s
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_decode_keeps_the_error_contract(self, vocab, data):
+        ids = data.draw(st.tuples(*(st.integers(-2, len(tokens) + 1) for _, tokens in vocab.spaces)))
+        got, want = _outcome(vocab.decode, ids), _outcome(_reference_decode, vocab, ids)
+        assert got == want and type(got) is type(want)
 
 
 class TestDeterminism:
