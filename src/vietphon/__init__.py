@@ -18,7 +18,7 @@ from .tokenizer import (
     tokenize,
 )
 from .vocab import Vocabulary, build_vocab
-from .metrics import cer, edit_distance, per, per_components, wer
+from .metrics import cer, edit_distance, per_components, wer
 from .corpus import filter_manifest, is_vietnamese_word
 
 __version__ = "0.1.0"
@@ -43,7 +43,6 @@ __all__ = [
     "edit_distance",
     "cer",
     "wer",
-    "per",
     "per_components",
     "filter_manifest",
     "is_vietnamese_word",

@@ -203,11 +203,6 @@ def per_components(ref: str, hyp: str, alignment: str = "tuple") -> PerReport:
     return PerReport(parts["initial"], parts["rhyme"], parts["tone"], overall)
 
 
-def per(ref: str, hyp: str) -> ErrorRateReport:
-    """Aggregate phoneme error rate over the three component streams, tuple-aligned."""
-    return per_components(ref, hyp).overall
-
-
 def score_pairs(pairs, include_spaces: bool = False, alignment: str = "tuple",
                 with_per: bool = True) -> dict:
     """Corpus-level report over (ref, hyp) pairs; counts accumulate per metric."""

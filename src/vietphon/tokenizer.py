@@ -334,6 +334,7 @@ def render_syllable(syllable: Syllable) -> str:
         return _written_forms()[syllable]
     except (KeyError, TypeError):  # outside the closed set; TypeError: an unhashable field
         pass
+    syllable = Syllable._make(syllable)
     problems = validate(syllable)
     if problems:
         raise RenderFailure("; ".join(problems))
@@ -414,7 +415,7 @@ def format_syllable(syllable: Syllable) -> str:
         return _wire_tokens()[syllable]
     except (KeyError, TypeError):  # outside the closed set; TypeError: an unhashable field
         pass
-    return "|".join(syllable_tokens(syllable))
+    return "|".join(syllable_tokens(Syllable._make(syllable)))
 
 
 def format_phonemes(syllables) -> str:

@@ -4,8 +4,8 @@ Each syllable encodes as (initial id, rhyme id, tone id).  Ids are assigned
 lexicographically by token string, so two builds from the same lexicon are
 bit-identical; BOS/EOS/PAD occupy the first three ids of every space because
 the downstream decoder is autoregressive.  Closed-set syllables map to and
-from their ids through one slot table per vocabulary; any other syllable or
-triple takes the rules.
+from their ids through one dict each way per vocabulary; any other syllable
+or triple takes the rules.
 """
 
 from __future__ import annotations
@@ -49,45 +49,33 @@ class Vocabulary:
     rhyme_tokens: tuple[str, ...]
     tone_tokens: tuple[str, ...]
 
-    def __post_init__(self):
-        for name, tokens in self.spaces:
-            object.__setattr__(self, f"_{name}_ids", {t: i for i, t in enumerate(tokens)})
-
-    def _lookup(self, space: str, ids: dict, token: str) -> int:
-        try:
-            return ids[token]
-        except KeyError:
-            raise UnknownComponent(space, token) from None
-
     def encode(self, syllable: Syllable) -> tuple[int, int, int]:
-        """The (initial id, rhyme id, tone id) of a syllable: a closed-set syllable is looked up first, in the
-        inverse of the slot table; otherwise the first token missing from its space raises UnknownComponent."""
+        """The (initial id, rhyme id, tone id) of a syllable: a closed-set syllable is looked up first, in
+        _ids_by_syllable; otherwise the first token missing from its space raises UnknownComponent."""
         try:
             return self._ids_by_syllable[syllable]
-        except (KeyError, TypeError):  # outside the slot table; TypeError: an unhashable field
+        except (KeyError, TypeError):  # outside the closed set; TypeError: an unhashable field
             pass
-        initial, rhyme, tone = syllable_tokens(syllable)
-        return (
-            self._lookup("initial", self._initial_ids, initial),
-            self._lookup("rhyme", self._rhyme_ids, rhyme),
-            self._lookup("tone", self._tone_ids, tone),
-        )
+        tokens = syllable_tokens(Syllable._make(syllable))
+        for (space, _), token_ids, token in zip(self.spaces, self._token_ids, tokens):
+            if token not in token_ids:
+                raise UnknownComponent(space, token)
+        return tuple(token_ids[token] for token_ids, token in zip(self._token_ids, tokens))
 
     def decode(self, ids: tuple[int, int, int]) -> Syllable:
         """The syllable of an (initial id, rhyme id, tone id) triple.
 
-        In-range ids whose slot in the slot table (built on the first call) is
-        filled return that slot: the closed-set syllable itself.  Otherwise the
-        first out-of-range id, in initial, rhyme, tone order, raises
-        IdOutOfRange; then a control-token id (BOS/EOS/PAD) raises
-        UnknownComponent, and any other triple splits its rhyme token by rule.
+        A hashable triple of a closed-set syllable's ids returns that syllable
+        itself, the identical object.  Otherwise the first out-of-range id, in
+        initial, rhyme, tone order, raises IdOutOfRange; then a control-token
+        id (BOS/EOS/PAD) raises UnknownComponent, and any other triple splits
+        its rhyme token by rule.
         """
         init_id, rhyme_id, tone_id = ids
-        size_r, size_t = len(self.rhyme_tokens), len(self.tone_tokens)
-        if 0 <= init_id < len(self.initial_tokens) and 0 <= rhyme_id < size_r and 0 <= tone_id < size_t:
-            syllable = self._slots[(init_id * size_r + rhyme_id) * size_t + tone_id]
-            if syllable is not None:
-                return syllable
+        try:
+            return self._syllables_by_ids[ids]
+        except (KeyError, TypeError):  # not a closed-set triple; TypeError: unhashable ids
+            pass
         spaces = tuple(zip(self.spaces, (init_id, rhyme_id, tone_id)))
         for (space, tokens), token_id in spaces:
             if not 0 <= token_id < len(tokens):
@@ -99,24 +87,25 @@ class Vocabulary:
         return syllable_from_tokens(self.initial_tokens[init_id], glide, vowel, final, self.tone_tokens[tone_id])
 
     @functools.cached_property
-    def _slots(self) -> list[Syllable | None]:
-        """Slot (i·R + r)·T + t: the closed-set syllable whose tokens have ids (i, r, t), or None."""
-        size_r, size_t = len(self.rhyme_tokens), len(self.tone_tokens)
-        slots = [None] * (len(self.initial_tokens) * size_r * size_t)
-        rhyme_ids = {rhyme: self._rhyme_ids.get(rhyme_token(*rhyme)) for rhyme in RHYMES}
-        for s in closed_syllables().values() if any(r is not None for r in rhyme_ids.values()) else ():
-            initial, _, tone = syllable_tokens(s)
-            i, r, t = self._initial_ids.get(initial), rhyme_ids[s.rhyme], self._tone_ids.get(tone)
-            if i is not None and r is not None and t is not None:
-                slots[(i * size_r + r) * size_t + t] = s
-        return slots
+    def _token_ids(self) -> tuple[dict[str, int], ...]:
+        """One token -> id dict per space, in spaces order."""
+        return tuple({token: i for i, token in enumerate(tokens)} for _, tokens in self.spaces)
 
     @functools.cached_property
     def _ids_by_syllable(self) -> dict[Syllable, tuple[int, int, int]]:
-        """The inverse of the slot table: each filled slot's syllable -> its (i, r, t) ids."""
-        size_r, size_t = len(self.rhyme_tokens), len(self.tone_tokens)
-        return {s: (slot // (size_r * size_t), slot // size_t % size_r, slot % size_t)
-                for slot, s in enumerate(self._slots) if s is not None}
+        """Each closed-set syllable whose three tokens are all in the spaces -> its (i, r, t) ids."""
+        initial_ids, rhyme_ids, tone_ids = self._token_ids
+        table = {}
+        for s in closed_syllables().values():
+            initial, rhyme, tone = syllable_tokens(s)
+            if initial in initial_ids and rhyme in rhyme_ids and tone in tone_ids:
+                table[s] = initial_ids[initial], rhyme_ids[rhyme], tone_ids[tone]
+        return table
+
+    @functools.cached_property
+    def _syllables_by_ids(self) -> dict[tuple[int, int, int], Syllable]:
+        """The inverse of _ids_by_syllable, decode's lookup."""
+        return {ids: s for s, ids in self._ids_by_syllable.items()}
 
     @property
     def spaces(self) -> tuple[tuple[str, tuple[str, ...]], ...]:

@@ -12,7 +12,6 @@ from vietphon.metrics import (
     align,
     cer,
     edit_distance,
-    per,
     per_components,
     score_pairs,
     wer,
@@ -98,7 +97,7 @@ class TestRates:
         text = "một hai ba"
         assert wer(text, text).rate == 0
         assert cer(text, text).rate == 0
-        assert per(text, text).rate == 0
+        assert per_components(text, text).overall.rate == 0
 
     def test_wer_third(self):
         report = wer("a b c", "a x c")
@@ -197,7 +196,7 @@ class TestPer:
 
     def test_parse_failure_propagates(self):
         with pytest.raises(ParseFailure):
-            per("ba", "hello")
+            per_components("ba", "hello").overall
 
 
 class TestScorePairs:

@@ -1,8 +1,8 @@
-import collections
 import itertools
 import pathlib
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +12,14 @@ from vietphon import vocab as vocab_module
 from vietphon.cli import main
 from vietphon.lexicon import iter_syllables
 from vietphon.phonology import RHYMES, Syllable, Tone
-from vietphon.tokenizer import closed_syllables, format_syllable, parse_syllable, syllable_from_tokens, syllable_tokens
+from vietphon.tokenizer import (
+    closed_syllables,
+    format_syllable,
+    parse_syllable,
+    render_syllable,
+    syllable_from_tokens,
+    syllable_tokens,
+)
 from vietphon.vocab import (
     CONTROL_TOKENS,
     DESIGN_COUNTS,
@@ -124,8 +131,8 @@ def _outcome(fn, *args):
 
 
 def _rule_path():
-    """decode with an empty slot table: every triple splits its rhyme token by the rules alone."""
-    return mock.patch.object(Vocabulary, "_slots", property(lambda self: collections.defaultdict(lambda: None)))
+    """decode with an empty lookup: every triple splits its rhyme token by the rules alone."""
+    return mock.patch.object(Vocabulary, "_syllables_by_ids", property(lambda self: {}))
 
 
 def _every_id_triple(vocab):
@@ -202,7 +209,7 @@ class TestClosedSetLookup:
 
 
 def _reference_decode(vocab, ids):
-    """decode with every range check ahead of the slot lookup: the error contract's oracle."""
+    """decode with every range check ahead of the closed-set lookup: the error contract's oracle."""
     init_id, rhyme_id, tone_id = ids
     spaces = (
         ("initial", init_id, vocab.initial_tokens),
@@ -212,7 +219,7 @@ def _reference_decode(vocab, ids):
     for space, token_id, tokens in spaces:
         if not 0 <= token_id < len(tokens):
             raise IdOutOfRange(space, token_id, len(tokens))
-    syllable = vocab._slots[(init_id * len(vocab.rhyme_tokens) + rhyme_id) * len(vocab.tone_tokens) + tone_id]
+    syllable = vocab._syllables_by_ids.get((init_id, rhyme_id, tone_id))
     if syllable is not None:
         return syllable
     for space, token_id, tokens in spaces:
@@ -224,11 +231,19 @@ def _reference_decode(vocab, ids):
 
 class TestSyllableIds:
     def test_encode_is_the_three_lookups(self, vocab, component_syllables):
+        def lookup(space, ids, token):
+            try:
+                return ids[token]
+            except KeyError:
+                raise UnknownComponent(space, token) from None
+
+        initial_ids, rhyme_ids, tone_ids = vocab._token_ids
+
         def by_rule(s):
             initial, rhyme, tone = syllable_tokens(s)
-            return (vocab._lookup("initial", vocab._initial_ids, initial),
-                    vocab._lookup("rhyme", vocab._rhyme_ids, rhyme),
-                    vocab._lookup("tone", vocab._tone_ids, tone))
+            return (lookup("initial", initial_ids, initial),
+                    lookup("rhyme", rhyme_ids, rhyme),
+                    lookup("tone", tone_ids, tone))
 
         outcomes = [(_outcome(vocab.encode, s), _outcome(by_rule, s)) for s in component_syllables]
         assert all(got == want for got, want in outcomes)
@@ -238,6 +253,24 @@ class TestSyllableIds:
     def test_decode_returns_the_closed_set_syllable_itself(self, vocab):
         for s in closed_syllables().values():
             assert vocab.decode(vocab.encode(s)) is s
+
+    def test_decode_takes_any_integer_triple(self, vocab):
+        ba = closed_syllables()["ba"]
+        ids = vocab.encode(ba)
+        argmaxes = tuple(np.argmax(np.eye(len(tokens))[i]) for (_, tokens), i in zip(vocab.spaces, ids))
+        assert all(isinstance(i, np.integer) for i in argmaxes)
+        assert vocab.decode(argmaxes) is ba
+        by_rule = vocab.decode(list(ids))  # unhashable: the rule path
+        assert by_rule == ba and by_rule is not ba
+        for wrong_length in (ids[:2], ids + (3,)):
+            with pytest.raises(ValueError):
+                vocab.decode(wrong_length)
+
+    def test_plain_tuples_take_the_syllables_path(self, vocab, component_syllables):
+        # a Syllable equals and hashes as its plain tuple, so the lookups take both alike; so must the rules
+        for fn in (render_syllable, format_syllable, vocab.encode):
+            by_syllable = [_outcome(fn, s) for s in component_syllables]
+            assert [_outcome(fn, tuple(s)) for s in component_syllables] == by_syllable
 
     @settings(max_examples=500, deadline=None)
     @given(data=st.data())
