@@ -30,6 +30,7 @@ text pipelines never load it.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -68,6 +69,10 @@ class ShapeMismatch(ValueError):
 
 
 class LengthMismatch(ValueError):
+    pass
+
+
+class NonIntegerIds(ValueError):
     pass
 
 
@@ -146,11 +151,20 @@ def init_params(config: HeadConfig, seed: int = 0) -> HeadParams:
 # Forward pass
 # ---------------------------------------------------------------------------
 
+def _integers(values, what: str):
+    """values as an int array; a non-empty array of another kind (float, bool) is refused, not truncated."""
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iu":
+        raise NonIntegerIds(f"{what} must be integers, got {array.dtype}")
+    return np.asarray(array, int)
+
+
 def _layer_norm_fwd(x, gain, bias):
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    d = x.shape[-1]
+    centered = x - x.sum(axis=-1, keepdims=True) / d  # centred once, with the operations
+    var = (centered * centered).sum(axis=-1, keepdims=True) / d  # of numpy's mean and var: same bits
     inv = 1.0 / np.sqrt(var + LN_EPS)  # ε keeps the degenerate zero-variance case defined
-    xhat = (x - mean) * inv
+    xhat = centered * inv
     return gain * xhat + bias, xhat, inv
 
 
@@ -193,7 +207,7 @@ def forward(params: HeadParams, prev_ids, residual: str = "normalized"):
     Logits are (n, V) per head, or (B, n, V) when any parameter array carries a
     leading batch axis of B variants; the unbatched arrays broadcast over it.
     """
-    ids = np.atleast_2d(np.asarray(prev_ids, int))
+    ids = np.atleast_2d(_integers(prev_ids, "ids of init, rhyme and tone"))
     if ids.shape[-1] != 3:
         raise ShapeMismatch(f"expected id triples, got shape {ids.shape}")
     for column, head in enumerate(HEADS):
@@ -236,7 +250,7 @@ def composite_loss(logits: dict[str, np.ndarray], targets: dict[str, np.ndarray]
     per_head = {}
     for head in HEADS:
         z = np.atleast_2d(np.asarray(logits[head], float))
-        y = np.atleast_1d(np.asarray(targets[head], int))
+        y = np.atleast_1d(_integers(targets[head], f"{head} targets"))
         if z.shape[-2] != y.shape[0]:
             raise LengthMismatch(f"{head}: {z.shape[-2]} logit rows vs {y.shape[0]} targets")
         probs = softmax(z)
@@ -305,9 +319,9 @@ def finite_difference_grads(params: HeadParams, prev_ids, targets,
     ``rhyme``, ``tone``) form a pack while the whole pack fits one chunk of
     copies and forward activations of at most FD_CHUNK_FLOATS floats: a pack
     of several arrays always fits one chunk, and only a single array is ever
-    split.  A pack's P copies with one entry raised by step and the P with it
-    lowered are stacked on a leading batch axis and go through one
-    sequence_loss call per chunk.  The caller's arrays are read, never written.
+    split.  A chunk of k entries from entry s is one sequence_loss call on a
+    (2k, P) batch of the pack's P entries: row i raises entry s + i by step and
+    row k + i lowers it.  The caller's arrays are read, never written.
     """
     arrays = params.arrays
     # a variant's forward activations per step, about: embeddings and fused
@@ -328,21 +342,21 @@ def finite_difference_grads(params: HeadParams, prev_ids, targets,
             packs.append([name])
     grads = {}
     for pack in packs:
-        flat = np.concatenate([arrays[name].reshape(-1) for name in pack])
-        bounds = np.cumsum([arrays[name].size for name in pack])[:-1]
-        grad, chunk = np.empty(flat.size), per_chunk(flat.size)
-        for start in range(0, flat.size, chunk):
-            index = np.arange(start, min(start + chunk, flat.size))
-            rows = np.arange(len(index))
-            batch = np.tile(flat, (2, len(index), 1))  # row i of [0] raises entry index[i], of [1] lowers it
-            batch[0, rows, index] += step
-            batch[1, rows, index] -= step
-            columns = np.split(batch.reshape(-1, flat.size), bounds, axis=1)
-            variants = {name: column.reshape(-1, *arrays[name].shape) for name, column in zip(pack, columns)}
-            up, down = sequence_loss(HeadParams(params.config, {**arrays, **variants}),
-                                     prev_ids, targets, residual)[0].reshape(2, -1)
-            grad[index] = (up - down) / (2.0 * step)
-        grads.update((name, part.reshape(arrays[name].shape)) for name, part in zip(pack, np.split(grad, bounds)))
+        ends = list(itertools.accumulate(arrays[name].size for name in pack))
+        spans = list(zip(pack, [0, *ends], ends))  # (name, first column, end column)
+        flat = np.concatenate([arrays[name].reshape(-1) for name in pack]) if pack[1:] else arrays[pack[0]].reshape(-1)
+        size = flat.size
+        grad, chunk = np.empty(size), per_chunk(size)
+        for start in range(0, size, chunk):
+            k = min(chunk, size - start)
+            batch = np.tile(flat, (2 * k, 1))
+            entries = batch.reshape(-1)  # a view: row r, column c is entry r * size + c
+            entries[start:k * size:size + 1] += step  # row i raises column start + i,
+            entries[k * size + start::size + 1] -= step  # and row k + i lowers it
+            variants = {name: batch[:, lo:hi].reshape(-1, *arrays[name].shape) for name, lo, hi in spans}
+            total = sequence_loss(HeadParams(params.config, {**arrays, **variants}), prev_ids, targets, residual)[0]
+            grad[start:start + k] = (total[:k] - total[k:]) / (2.0 * step)
+        grads.update((name, grad[lo:hi].reshape(arrays[name].shape)) for name, lo, hi in spans)
     return grads
 
 

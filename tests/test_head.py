@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vietphon import head, vocab
 from vietphon.head import (
@@ -16,6 +17,7 @@ from vietphon.head import (
     IdOutOfRange,
     LengthMismatch,
     NonFiniteInput,
+    NonIntegerIds,
     ShapeMismatch,
     composite_loss,
     finite_difference_grads,
@@ -53,6 +55,29 @@ def reference_ffn(f, gain, bias, w_up, w_down, residual="normalized", eps=1e-5):
     for i in range(d):
         out.append(base[i] + sum(hidden[j] * w_down[j][i] for j in range(2 * d)))
     return out
+
+
+def reference_layer_norm(x, gain, bias):
+    """Layer norm written straight from numpy's mean and var."""
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + head.LN_EPS)
+    xhat = (x - mean) * inv
+    return gain * xhat + bias, xhat, inv
+
+
+@st.composite
+def layer_norm_inputs(draw):
+    """(x, gain, bias) as _ffn hands them to the layer norm: x of shape (n, d) or (B, n, d),
+    some rows constant, and gain and bias of shape (d,) or, with a batch, (B, 1, d)."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    batch = draw(st.sampled_from([None, 1, 3]))
+    values = st.floats(-1e6, 1e6)
+    x = draw(hnp.arrays(np.float64, (n, d) if batch is None else (batch, n, d), elements=values))
+    constant = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    x[..., constant, :] = x[..., constant, :1]
+    vector = (d,) if batch is None or draw(st.booleans()) else (batch, 1, d)
+    return x, draw(hnp.arrays(np.float64, vector, elements=values)), draw(hnp.arrays(np.float64, vector, elements=values))
 
 
 def with_features(params, f):
@@ -109,6 +134,14 @@ class TestFfn:
                                  params["tone.w_up"].tolist(),
                                  params["tone.w_down"].tolist(), residual)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(layer_norm_inputs())
+    def test_layer_norm_is_numpys_mean_and_var_bit_for_bit(self, inputs):
+        got = head._layer_norm_fwd(*inputs)
+        want = reference_layer_norm(*inputs)
+        for name, a, b in zip(("y", "xhat", "inv"), got, want):
+            assert a.shape == b.shape and np.array_equal(a, b), name
 
     def test_non_finite_input(self, params):
         with pytest.raises(NonFiniteInput):
@@ -199,6 +232,8 @@ class TestEmbedPrev:
     def test_ids_must_be_triples(self, params):
         with pytest.raises(ShapeMismatch, match="id triples"):
             forward(params, [[0, 0]])
+        with pytest.raises(ShapeMismatch, match="id triples"):
+            forward(params, [])
 
 
 class TestCompositeLoss:
@@ -379,6 +414,30 @@ class TestBatchedFiniteDifferences:
             for name in want:
                 assert np.array_equal(got[name], want[name]), (seed, name)
 
+    @pytest.mark.parametrize("chunk_floats", [head.FD_CHUNK_FLOATS, 150_000, 8_000])
+    def test_rows_raise_then_lower_one_entry_each(self, chunk_floats, monkeypatch):
+        params, ids, targets = toy_batch(seed=7)
+        monkeypatch.setattr(head, "FD_CHUNK_FLOATS", chunk_floats)
+        calls = loss_calls(monkeypatch)
+        finite_difference_grads(params, ids, targets, step=0.25)
+        done = {}  # pack -> entries perturbed so far
+        for variants in calls:
+            pack = tuple(name for name, array in variants.arrays.items() if array.ndim > params[name].ndim)
+            batch = np.concatenate([variants[name].reshape(len(variants[name]), -1) for name in pack], axis=1)
+            flat = np.concatenate([params[name].reshape(-1) for name in pack])
+            k, start = len(batch) // 2, done.get(pack, 0)
+            up, down, rows = np.tile(flat, (k, 1)), np.tile(flat, (k, 1)), np.arange(k)
+            up[rows, start + rows] += 0.25
+            down[rows, start + rows] -= 0.25
+            assert np.array_equal(batch[:k], up) and np.array_equal(batch[k:], down), pack
+            done[pack] = start + k
+        assert done == {pack: sum(params[name].size for name in pack) for pack in done}
+        assert sorted(name for pack in done for name in pack) == sorted(params.arrays)
+        if chunk_floats == 8_000:  # one array a pack, fuse's 108 entries in chunks of 7
+            assert len(calls) > len(done)
+        else:
+            assert any(len(pack) > 1 for pack in done)
+
     def test_leaves_the_arrays_alone(self):
         params, ids, targets = toy_batch(seed=6)
         before = {name: array.copy() for name, array in params.arrays.items()}
@@ -483,6 +542,29 @@ class TestBatchedForward:
         batched["fuse"][1, 0, 0] = np.nan
         with pytest.raises(NonFiniteInput):
             sequence_loss(batched, ids, targets)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_non_integer_ids_and_targets_raise_not_truncate(self, batched):
+        params, ids, targets = toy_batch(seed=0)
+        if batched:
+            params, _ = variants(params, ["fuse", "init.w_up", "embed.rhyme"], 3, seed=0)
+        assert issubclass(NonIntegerIds, ValueError)
+        ids = np.asarray(ids)
+        for bad_ids in (ids + 0.9, ids.astype(float), np.ones_like(ids, dtype=bool)):
+            with pytest.raises(NonIntegerIds, match="ids of init, rhyme and tone"):
+                forward(params, bad_ids)
+            with pytest.raises(NonIntegerIds):
+                sequence_loss(params, bad_ids, targets)
+        for bad_head in HEADS:
+            bad_targets = {**targets, bad_head: np.asarray(targets[bad_head]) + 0.7}
+            with pytest.raises(NonIntegerIds, match=f"{bad_head} targets"):
+                sequence_loss(params, ids, bad_targets)
+            if not batched:
+                with pytest.raises(NonIntegerIds, match=f"{bad_head} targets"):
+                    sequence_grads(params, ids, bad_targets)
+        # integer kinds other than int64 still read
+        want = sequence_loss(params, ids, targets)[0]
+        assert np.array_equal(sequence_loss(params, ids.astype(np.uint8), targets)[0], want)
 
 
 def param_lines(params):
