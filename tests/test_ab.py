@@ -30,12 +30,12 @@ def run_output(workload, scaled, unscaled, failed=0, attempted=100, seed=1):
     ])
 
 
-def side(items, op_ms, raw_items=None, failed=0):
+def side(items, op_ms, failed=0):
     """parse_output of a two-workload run whose gradcheck reads the given figures."""
     text = "\n".join([
         run_output("score", {"items_per_s": 400.0, "op_ms_p50": 60.0}, {"items_per_s": 300.0, "op_ms_p50": 80.0}),
         run_output("gradcheck", {"items_per_s": items, "op_ms_p50": op_ms},
-                   {"items_per_s": raw_items or items / 2, "op_ms_p50": op_ms * 2}, failed=failed),
+                   {"items_per_s": items / 2, "op_ms_p50": op_ms * 2}, failed=failed),
     ])
     return ab.parse_output(text)
 

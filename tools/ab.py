@@ -6,9 +6,9 @@ Run from the root of a checkout::
 
 Each revision is ``git archive``d into a temporary tree with its own
 PYTHONPYCACHEPREFIX, which one discarded warm-up run per workload fills, so
-neither side compiles a module while it is timed.  Pair p then runs the tree's
-own, unchanged perfbench/run.py at seed SEED + p on both sides, the base first
-in even pairs and the head first in odd ones.
+neither side compiles a module while it is timed.  Pair p then runs each
+tree's own perfbench/run.py, as committed, at seed SEED + p, the base first in
+even pairs and the head first in odd ones.
 
 For each workload and end-to-end metric it prints both medians and quartiles,
 the change of the head's median, and in how many pairs the head was better
@@ -115,8 +115,12 @@ def format_rows(rows: list[dict]) -> list[str]:
     return lines
 
 
-def _git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+def _commit(rev: str) -> str:
+    proc = subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"], cwd=ROOT,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"ab: {rev!r} names no commit")
+    return proc.stdout.strip()
 
 
 def _tree(rev: str, dest: Path) -> dict:
@@ -155,8 +159,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=101, help="seed of the first pair; pair p uses seed + p")
     parser.add_argument("--out", type=Path, help="write the pairs and the summary here as JSON")
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
     revs = {"base": args.base, "head": args.head}
-    commits = {side: _git("rev-parse", "--verify", f"{rev}^{{commit}}") for side, rev in revs.items()}
+    commits = {side: _commit(rev) for side, rev in revs.items()}
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         envs = {side: _tree(commits[side], trees[side]) for side in SIDES}
