@@ -76,6 +76,10 @@ class NonIntegerIds(ValueError):
     pass
 
 
+class EmptySequence(ValueError):
+    pass
+
+
 class MalformedParamLine(ValueError):
     """A parameter file line that does not read; line_number counts from 1."""
 
@@ -152,10 +156,14 @@ def init_params(config: HeadConfig, seed: int = 0) -> HeadParams:
 # ---------------------------------------------------------------------------
 
 def _integers(values, what: str):
-    """values as an int array; a non-empty array of another kind (float, bool) is refused, not truncated."""
+    """values as an int array; a non-empty array of another kind (float, bool) is refused, not truncated,
+    and so is a list with a bool among its ints, which numpy would read as ints."""
     array = np.asarray(values)
     if array.size and array.dtype.kind not in "iu":
         raise NonIntegerIds(f"{what} must be integers, got {array.dtype}")
+    if array.size and not isinstance(values, np.ndarray) and any(
+            isinstance(value, (bool, np.bool_)) for value in np.asarray(values, object).flat):
+        raise NonIntegerIds(f"{what} must be integers, got a bool among them")
     return np.asarray(array, int)
 
 
@@ -247,6 +255,8 @@ def composite_loss(logits: dict[str, np.ndarray], targets: dict[str, np.ndarray]
     lengths = {head: len(np.atleast_1d(targets[head])) for head in HEADS}
     if len(set(lengths.values())) != 1:
         raise LengthMismatch(f"target lengths differ across heads: {lengths}")
+    if not lengths["init"]:
+        raise EmptySequence("no targets: the mean cross entropy of an empty sequence is undefined")
     per_head = {}
     for head in HEADS:
         z = np.atleast_2d(np.asarray(logits[head], float))

@@ -64,30 +64,48 @@ def align(ref: Sequence, hyp: Sequence) -> list[tuple[str, int, int]]:
     Ops are "match", "sub", "del" (reference token missing from the
     hypothesis), and "ins" (extra hypothesis token); the index that does not
     apply is -1.  Cost ties break substitution > deletion > insertion.
+    Tokens must be hashable (a TypeError otherwise): they key the match masks.
+
+    The distance table is never built.  Myers' bit-vector recurrence (JACM
+    46(3), 1999) runs one column per hypothesis token over the reference
+    positions as bits, and keeps each column's vertical deltas (bit i - 1 of
+    pv or mv is set when D[i][j] - D[i-1][j] is +1 or -1), so the backtrace
+    reads any cell as j + popcount(pv & low_i) - popcount(mv & low_i) (Hyyrö,
+    "A note on bit-parallel alignment computation", PSC 2004).
     """
     m, n = len(ref), len(hyp)
-    dist = [[0] * (n + 1) for _ in range(m + 1)]
-    for i in range(1, m + 1):
-        dist[i][0] = i
-    for j in range(1, n + 1):
-        dist[0][j] = j
-    for i in range(1, m + 1):
-        row, prev = dist[i], dist[i - 1]
-        for j in range(1, n + 1):
-            same = ref[i - 1] == hyp[j - 1]
-            row[j] = min(prev[j - 1] + (0 if same else 1), prev[j] + 1, row[j - 1] + 1)
+    masks = {}
+    for i, token in enumerate(ref):
+        masks[token] = masks.get(token, 0) | 1 << i
+    full = (1 << m) - 1
+    pv, mv = full, 0  # column 0: D[i][0] = i
+    columns = [(pv, mv)]
+    for token in hyp:
+        eq = masks.get(token, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = (mv | ~(xh | pv)) << 1 | 1  # row 0 rises by one a column: D[0][j] = j
+        mh = (pv & xh) << 1
+        pv = (mh | ~(xv | ph)) & full
+        mv = ph & xv
+        columns.append((pv, mv))
+
+    def dist(i: int, j: int) -> int:
+        pv, mv = columns[j]
+        low = (1 << i) - 1
+        return j + (pv & low).bit_count() - (mv & low).bit_count()
 
     ops = []
     i, j = m, n
     while i > 0 or j > 0:
-        here = dist[i][j]
+        here = dist(i, j)
         if i > 0 and j > 0:
             same = ref[i - 1] == hyp[j - 1]
-            if dist[i - 1][j - 1] + (0 if same else 1) == here:
+            if dist(i - 1, j - 1) + (0 if same else 1) == here:
                 ops.append(("match" if same else "sub", i - 1, j - 1))
                 i, j = i - 1, j - 1
                 continue
-        if i > 0 and dist[i - 1][j] + 1 == here:
+        if i > 0 and dist(i - 1, j) + 1 == here:
             ops.append(("del", i - 1, -1))
             i -= 1
             continue
@@ -120,7 +138,8 @@ def edit_distance(ref: Sequence, hyp: Sequence) -> tuple[int, int, int, int]:
     The counts are those of the ops of align: D counts reference tokens
     missing from the hypothesis ("del"), I counts extra hypothesis tokens
     ("ins").  So edit_distance(x, "") is all deletions and
-    edit_distance("", x) is all insertions.
+    edit_distance("", x) is all insertions.  Tokens must be hashable, as for
+    align.
     """
     report = _report(ref, hyp)
     return report.errors, report.substitutions, report.deletions, report.insertions

@@ -116,3 +116,53 @@ def test_directions_come_from_the_benchmark_declaration():
     better = ab.better_directions()
     assert better["items_per_s"] == "higher" and better["op_ms_p50"] == "lower"
     assert set(better) == {"setup_s", "items_per_s", "op_ms_p50", "op_ms_p90", "peak_rss_mb"}
+
+
+def traced_output(workload, layers, seed=1):
+    """The lines run.py prints for one traced workload run."""
+    result = {"correct": True, "attempted": 8, "failed": 0,
+              "metrics": {name: {"value": value, "unit": "u"} for name, value in layers.items()}}
+    return "\n".join([
+        f"# {workload} seed={seed} trace=1 ops=8",
+        "#   src_nonblank_lines: 1808",
+        "#   failed_frac: 0.000000 ratio (0 of 8 items)",
+        *(f"#   {name}: {value} u" for name, value in layers.items()),
+        json.dumps(result),
+    ])
+
+
+def traced_side(align_calls, accept, self_s):
+    return ab.parse_output("\n".join([
+        traced_output("filter", {"corpus.is_vietnamese_word.calls": 900, "corpus.is_vietnamese_word.self_s": self_s,
+                                 "corpus.is_vietnamese_word.accept_ratio": accept, "trace.overhead_frac": self_s}),
+        traced_output("score", {"metrics.align.calls": align_calls, "metrics.align.self_s": self_s,
+                                "metrics.align.cells": 1000, "tokenizer.parse_syllable.fail": 0}),
+    ]))
+
+
+def test_traced_diff_lists_only_counts_that_differ():
+    base, head = traced_side(576, 0.996, 0.8), traced_side(577, 0.996, 0.05)
+    diff = ab.traced_diff(base, head)
+    assert diff == [{"workload": "score", "metric": "metrics.align.calls", "base": 576, "head": 577}]
+    assert ab.traced_diff(base, traced_side(576, 0.996, 0.05)) == []  # times differ, counts do not
+
+
+def test_traced_diff_reads_ratios_and_figures_one_side_lacks():
+    base = traced_side(576, 0.996, 0.8)
+    head = traced_side(576, 0.5, 0.8)
+    del head["score"]["result"]["metrics"]["tokenizer.parse_syllable.fail"]
+    head["score"]["result"]["metrics"]["vocab.Vocabulary.decode.calls"] = {"value": 3, "unit": "count"}
+    assert [(r["workload"], r["metric"], r["base"], r["head"]) for r in ab.traced_diff(base, head)] == [
+        ("filter", "corpus.is_vietnamese_word.accept_ratio", 0.996, 0.5),
+        ("score", "tokenizer.parse_syllable.fail", 0, None),
+        ("score", "vocab.Vocabulary.decode.calls", None, 3),
+    ]
+
+
+def test_format_traced_prints_a_line_per_differing_count():
+    diff = ab.traced_diff(traced_side(576, 0.996, 0.8), traced_side(577, 0.9, 0.8))
+    lines = ab.format_traced(7, diff)
+    assert lines[0] == "# traced pair (--trace 1, seed 7): 2 per-layer counts differ"
+    assert lines[1].split() == ["filter", "corpus.is_vietnamese_word.accept_ratio", "base", "0.996", "head", "0.9"]
+    assert lines[2].split() == ["score", "metrics.align.calls", "base", "576", "head", "577"]
+    assert ab.format_traced(7, []) == ["# traced pair (--trace 1, seed 7): no per-layer counts differ"]

@@ -1,6 +1,7 @@
 import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 from vietphon import head, vocab
 from vietphon.head import (
     HEADS,
+    EmptySequence,
     GradCheckReport,
     HeadConfig,
     HeadParams,
@@ -565,6 +567,32 @@ class TestBatchedForward:
         # integer kinds other than int64 still read
         want = sequence_loss(params, ids, targets)[0]
         assert np.array_equal(sequence_loss(params, ids.astype(np.uint8), targets)[0], want)
+
+    def test_a_bool_among_listed_ints_is_refused(self):
+        params, ids, targets = toy_batch(seed=0)
+        listed = np.asarray(ids).tolist()
+        want = sequence_loss(params, listed, targets)[0]  # plain int lists read as before
+        assert want == sequence_loss(params, ids, targets)[0]
+        mixed = [[True, *listed[0][1:]], *listed[1:]]
+        for bad in (mixed, [np.array([True, False, True]), *np.asarray(ids)[1:]]):
+            with pytest.raises(NonIntegerIds, match="ids of init, rhyme and tone"):
+                forward(params, bad)
+        for bad_head in HEADS:
+            bad_targets = {**targets, bad_head: [False, *np.asarray(targets[bad_head]).tolist()[1:]]}
+            with pytest.raises(NonIntegerIds, match=f"{bad_head} targets"):
+                sequence_loss(params, ids, bad_targets)
+
+    def test_empty_sequence_raises_without_a_warning(self, params):
+        assert issubclass(EmptySequence, ValueError)
+        empty = {h: [] for h in HEADS}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptySequence):
+                sequence_loss(params, np.zeros((0, 3), int), empty)
+            with pytest.raises(EmptySequence):
+                sequence_grads(params, np.zeros((0, 3), int), empty)
+            with pytest.raises(EmptySequence):
+                composite_loss({h: np.zeros((0, v)) for h, v in CONFIG.vocab_sizes.items()}, empty)
 
 
 def param_lines(params):

@@ -16,7 +16,7 @@ from vietphon.metrics import (
     score_pairs,
     wer,
 )
-from vietphon.tokenizer import ParseFailure
+from vietphon.tokenizer import ParseFailure, tokenize
 
 
 def brute_force_distance(a, b):
@@ -32,6 +32,82 @@ def brute_force_distance(a, b):
         brute_force_distance(a, b[1:]),
         brute_force_distance(a[1:], b[1:]),
     )
+
+
+def dp_align(ref, hyp):
+    """The full (m+1) x (n+1) table and its backtrace: the oracle for align's op lists."""
+    m, n = len(ref), len(hyp)
+    dist = [[0] * (n + 1) for _ in range(m + 1)]
+    for i in range(1, m + 1):
+        dist[i][0] = i
+    for j in range(1, n + 1):
+        dist[0][j] = j
+    for i in range(1, m + 1):
+        row, prev = dist[i], dist[i - 1]
+        for j in range(1, n + 1):
+            same = ref[i - 1] == hyp[j - 1]
+            row[j] = min(prev[j - 1] + (0 if same else 1), prev[j] + 1, row[j - 1] + 1)
+
+    ops = []
+    i, j = m, n
+    while i > 0 or j > 0:
+        here = dist[i][j]
+        if i > 0 and j > 0:
+            same = ref[i - 1] == hyp[j - 1]
+            if dist[i - 1][j - 1] + (0 if same else 1) == here:
+                ops.append(("match" if same else "sub", i - 1, j - 1))
+                i, j = i - 1, j - 1
+                continue
+        if i > 0 and dist[i - 1][j] + 1 == here:
+            ops.append(("del", i - 1, -1))
+            i -= 1
+            continue
+        ops.append(("ins", -1, j - 1))
+        j -= 1
+    ops.reverse()
+    return ops
+
+
+@st.composite
+def token_pairs(draw, max_size=40):
+    """(ref, hyp) over one alphabet of 1-5 tokens."""
+    tokens = st.integers(0, draw(st.integers(1, 5)) - 1)
+    return draw(st.lists(tokens, max_size=max_size)), draw(st.lists(tokens, max_size=max_size))
+
+
+class TestAlignAgainstTheTable:
+    @settings(max_examples=1500, deadline=None)
+    @given(token_pairs())
+    def test_op_lists_equal_the_table_backtrace(self, pair):
+        ref, hyp = pair
+        assert align(ref, hyp) == dp_align(ref, hyp)
+
+    @pytest.mark.parametrize("m, n", [(63, 63), (64, 64), (65, 65), (64, 0), (0, 65), (63, 66), (65, 62),
+                                      (1100, 1060), (1030, 1100)])
+    def test_word_boundary_and_long_pairs(self, m, n):
+        # references of 63, 64 and 65 tokens straddle a 64-bit machine word
+        rng = random.Random(m * 10_000 + n)
+        for alphabet in (1, 2, 4, 30):
+            ref = [rng.randrange(alphabet) for _ in range(m)]
+            hyp = [rng.randrange(alphabet) for _ in range(n)]
+            assert align(ref, hyp) == dp_align(ref, hyp)
+
+    def test_syllable_and_string_tokens(self, lexicon):
+        rng = random.Random(29)
+        pool = rng.sample(lexicon, 12)
+        for _ in range(200):
+            ref = tokenize(" ".join(rng.choices(pool, k=rng.randrange(0, 30))))
+            hyp = tokenize(" ".join(rng.choices(pool, k=rng.randrange(0, 30))))
+            assert align(ref, hyp) == dp_align(ref, hyp)
+            words = ([str(s) for s in ref], [str(s) for s in hyp])
+            assert align(*words) == dp_align(*words)
+
+    @pytest.mark.parametrize("ref, hyp", [([[1]], [[1]]), ([1, 2], [{3}]), ([], [[]]), ([{}], [])])
+    def test_unhashable_tokens_raise_type_error(self, ref, hyp):
+        with pytest.raises(TypeError):
+            align(ref, hyp)
+        with pytest.raises(TypeError):
+            edit_distance(ref, hyp)
 
 
 class TestEditDistance:

@@ -13,8 +13,11 @@ even pairs and the head first in odd ones.
 For each workload and end-to-end metric it prints both medians and quartiles,
 the change of the head's median, and in how many pairs the head was better
 (and equal), once for the calibration-scaled figures of the final JSON line
-and once for the unscaled ones of the ``# unscaled:`` line.  ``--out`` writes
-both sides' parsed output of every pair and that summary as JSON.
+and once for the unscaled ones of the ``# unscaled:`` line.  After the timed
+pairs one traced pair (``--trace 1`` at seed SEED) runs each tree once more
+and every per-layer count (calls, fail, cells, accept_ratio) that differs
+between the sides is printed.  ``--out`` writes both sides' parsed output of
+every pair and of the traced pair, that summary and that diff as JSON.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("base", "head")
 SCALES = ("scaled", "unscaled")
+#: the per-layer statistics of a traced run that count rather than time
+COUNTS = ("calls", "fail", "cells", "accept_ratio")
 
 
 def parse_output(text: str) -> dict:
@@ -98,6 +103,19 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> list[dict]:
     return rows
 
 
+def traced_diff(base: dict, head: dict) -> list[dict]:
+    """Each per-layer count that differs between two traced runs (parse_output of each), in the
+    base's order; a figure one side lacks reads None."""
+    rows = []
+    for workload in [w for w in base if w in head]:
+        before, after = metric_values(base[workload], "scaled"), metric_values(head[workload], "scaled")
+        for name in [*before, *(name for name in after if name not in before)]:
+            if name.rpartition(".")[2] in COUNTS and before.get(name) != after.get(name):
+                rows.append({"workload": workload, "metric": name,
+                             "base": before.get(name), "head": after.get(name)})
+    return rows
+
+
 def format_rows(rows: list[dict]) -> list[str]:
     lines = []
     for row in rows:
@@ -112,6 +130,12 @@ def format_rows(rows: list[dict]) -> list[str]:
         lines.append(f"{where} base {base:10.4g} [{b1:.4g}, {b3:.4g}]  head {head:10.4g} [{h1:.4g}, {h3:.4g}]"
                      f"  {change}  head better in {row['head_better']}/{row['pairs']}"
                      f" ({row['better']} is better; equal in {row['equal']})")
+    return lines
+
+
+def format_traced(seed: int, diff: list[dict]) -> list[str]:
+    lines = [f"# traced pair (--trace 1, seed {seed}): {len(diff) or 'no'} per-layer counts differ"]
+    lines += [f"{row['workload']:<10} {row['metric']:<40} base {row['base']}  head {row['head']}" for row in diff]
     return lines
 
 
@@ -134,9 +158,9 @@ def _tree(rev: str, dest: Path) -> dict:
     return env
 
 
-def _run(tree: Path, env: dict, workload: str, seed: int, seconds: float) -> str:
+def _run(tree: Path, env: dict, workload: str, seed: int, seconds: float, trace: int = 0) -> str:
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                           "--seconds", str(seconds), "--trace", "0"],
+                           "--seconds", str(seconds), "--trace", str(trace)],
                           cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"ab: run.py failed in {tree} (exit {proc.returncode}): {proc.stderr.strip()}")
@@ -177,14 +201,19 @@ def main(argv=None) -> int:
                 pair[side] = parse_output(_run(trees[side], envs[side], args.workload, seed, args.seconds))
             pairs.append(pair)
             print(f"# pair {p + 1}/{args.pairs} done (seed {seed}, {order[0]} first)", file=sys.stderr)
+        traced = {"seed": args.seed}
+        for side in SIDES:
+            traced[side] = parse_output(_run(trees[side], envs[side], args.workload, args.seed, args.seconds, trace=1))
+    traced["diff"] = traced_diff(traced["base"], traced["head"])
     rows = summarise(pairs, better_directions())
     print(f"# base {args.base} ({commits['base'][:12]})  head {args.head} ({commits['head'][:12]})  "
           f"{args.pairs} pairs of --workload {args.workload} --seconds {args.seconds:g}, seeds "
           f"{args.seed}-{args.seed + args.pairs - 1}")
     print("\n".join(format_rows(rows)))
+    print("\n".join(format_traced(args.seed, traced["diff"])))
     if args.out:
         report = {"revisions": revs, "commits": commits, "workload": args.workload, "seconds": args.seconds,
-                  "pairs": pairs, "summary": rows}
+                  "pairs": pairs, "summary": rows, "traced": traced}
         args.out.write_text(json.dumps(report, indent=1, ensure_ascii=False) + "\n", "utf-8")
     return 0
 
