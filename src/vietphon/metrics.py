@@ -64,7 +64,8 @@ def align(ref: Sequence, hyp: Sequence) -> list[tuple[str, int, int]]:
     Ops are "match", "sub", "del" (reference token missing from the
     hypothesis), and "ins" (extra hypothesis token); the index that does not
     apply is -1.  Cost ties break substitution > deletion > insertion.
-    Tokens must be hashable (a TypeError otherwise): they key the match masks.
+    Tokens key the match masks, so they must be hashable (a TypeError
+    otherwise) and equal to themselves (a NaN is not).
 
     The distance table is never built.  Myers' bit-vector recurrence (JACM
     46(3), 1999) runs one column per hypothesis token over the reference
@@ -135,11 +136,10 @@ def _report(ref: Sequence, hyp: Sequence) -> ErrorRateReport:
 def edit_distance(ref: Sequence, hyp: Sequence) -> tuple[int, int, int, int]:
     """Levenshtein distance with unit costs: (distance, S, D, I).
 
-    The counts are those of the ops of align: D counts reference tokens
-    missing from the hypothesis ("del"), I counts extra hypothesis tokens
-    ("ins").  So edit_distance(x, "") is all deletions and
-    edit_distance("", x) is all insertions.  Tokens must be hashable, as for
-    align.
+    The counts are those of the ops of align, whose tokens must be hashable:
+    D counts reference tokens missing from the hypothesis ("del"), I counts
+    extra hypothesis tokens ("ins").  So edit_distance(x, "") is all
+    deletions and edit_distance("", x) is all insertions.
     """
     report = _report(ref, hyp)
     return report.errors, report.substitutions, report.deletions, report.insertions
