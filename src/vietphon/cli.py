@@ -223,12 +223,10 @@ def _cmd_demo_head(args) -> int:
         with _open_out(args.dump_params) as out:
             head.write_params(params, out)
     if args.load_params:
-        import numpy as np  # here, not at the top: only demo-head needs numpy
-
         try:
             params = head.load_params(_read_lines(args.load_params))
             # finite values can still overflow the check: an error, not a warning and a verdict
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
+            with head.np.errstate(over="raise", divide="raise", invalid="raise"):
                 report = head.grad_check(params, [[0, 0, 0]], {h: [0] for h in head.HEADS}, residual=args.residual)
         except head.MalformedParamLine as exc:
             raise DataError(f"{_source(args.load_params)}:{exc.line_number}: {exc}") from None
@@ -322,6 +320,8 @@ def main(argv=None) -> int:
         parser.error(f"filter -o and --discard-file name the same file: {args.output}")
     if args.command == "demo-head" and args.configs < 0:
         parser.error(f"demo-head --configs must be 0 or more, got {args.configs}")
+    if args.command == "demo-head" and args.seed < 0:
+        parser.error(f"demo-head --seed must be 0 or more, got {args.seed}")
     try:
         code = args.func(args)
         sys.stdout.flush()  # a failed write to stdout is reported here, not at exit

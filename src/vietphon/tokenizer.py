@@ -326,14 +326,8 @@ def render_syllable(syllable: Syllable) -> str:
 
     The tone mark lands on the last strong nucleus letter (ê ô ơ ă â ư) if one
     exists, else on the first nucleus letter; glides never carry it.  Output
-    is canonically composed.  A closed-set syllable is looked up first, in the
-    inverse of closed_syllables(), and skips validate (the set is valid by
-    construction); any other syllable is validated and takes the rules.
+    is canonically composed.  An invalid syllable raises RenderFailure.
     """
-    try:
-        return _written_forms()[syllable]
-    except (KeyError, TypeError):  # outside the closed set; TypeError: an unhashable field
-        pass
     syllable = Syllable._make(syllable)
     problems = validate(syllable)
     if problems:
@@ -367,18 +361,22 @@ def closed_syllables() -> Mapping[str, Syllable]:
 
 @functools.cache
 def _written_forms() -> Mapping[Syllable, str]:
-    """Read-only Syllable -> written form: the inverse of closed_syllables(), render_syllable's lookup."""
+    """Read-only Syllable -> written form: the inverse of closed_syllables(), detokenize's lookup."""
     return MappingProxyType({s: word for word, s in closed_syllables().items()})
 
 
 def detokenize(syllables) -> str:
-    """Space-joined written forms; inverse of tokenize on valid input."""
+    """Space-joined written forms, the closed set's read from _written_forms(); inverse of tokenize on valid input."""
+    forms = _written_forms()
     words = []
     for index, syllable in enumerate(syllables):
-        try:
-            words.append(render_syllable(syllable))
-        except RenderFailure as exc:
-            raise RenderFailure(f"syllable {index}: {exc}") from None
+        word = forms.get(syllable)
+        if word is None:
+            try:
+                word = render_syllable(syllable)
+            except RenderFailure as exc:
+                raise RenderFailure(f"syllable {index}: {exc}") from None
+        words.append(word)
     return " ".join(words)
 
 
@@ -410,41 +408,30 @@ def syllable_tokens(syllable: Syllable) -> tuple[str, str, str]:
 
 
 def format_syllable(syllable: Syllable) -> str:
-    """The five component tokens joined by "|"; a closed-set syllable is looked up first, in _wire_tokens()."""
-    try:
-        return _wire_tokens()[syllable]
-    except (KeyError, TypeError):  # outside the closed set; TypeError: an unhashable field
-        pass
+    """The five component tokens joined by "|"."""
     return "|".join(syllable_tokens(Syllable._make(syllable)))
 
 
 def format_phonemes(syllables) -> str:
-    """One utterance as a line of space-separated syllable tokens."""
-    return " ".join(format_syllable(s) for s in syllables)
+    """One utterance as a line of space-separated syllable tokens, the closed set's read from _wire_tokens()."""
+    tokens = _wire_tokens()
+    return " ".join(tokens.get(s) or format_syllable(s) for s in syllables)
 
 
 @functools.cache
 def _wire_tokens() -> Mapping[Syllable, str]:
-    """Read-only closed-set Syllable -> wire token, format_syllable's lookup."""
+    """Read-only closed-set Syllable -> wire token, format_phonemes' lookup."""
     return MappingProxyType({s: "|".join(syllable_tokens(s)) for s in closed_syllables().values()})
 
 
 @functools.cache
 def _syllables_by_token() -> Mapping[str, Syllable]:
-    """Read-only wire token -> Syllable: the inverse of _wire_tokens(), parse_syllable_token's lookup."""
+    """Read-only wire token -> Syllable: the inverse of _wire_tokens(), parse_phonemes' lookup."""
     return MappingProxyType({token: s for s, token in _wire_tokens().items()})
 
 
 def parse_syllable_token(token: str) -> Syllable:
-    """The Syllable of one wire token (see format_syllable).
-
-    A closed-set token is looked up first; any other token is split into its
-    five components, and one that does not split into five raises ValueError.
-    """
-    try:
-        return _syllables_by_token()[token]
-    except (KeyError, TypeError):  # outside the closed set; TypeError: unhashable
-        pass
+    """The Syllable of one wire token (see format_syllable); one that does not split into five raises ValueError."""
     parts = token.split("|")
     if len(parts) != 5:
         raise ValueError(f"malformed syllable token: {token!r}")
@@ -452,4 +439,6 @@ def parse_syllable_token(token: str) -> Syllable:
 
 
 def parse_phonemes(line: str) -> list[Syllable]:
-    return [parse_syllable_token(token) for token in line.split()]
+    """The Syllables of a line of wire tokens, the closed set's read from _syllables_by_token()."""
+    table = _syllables_by_token()
+    return [table.get(token) or parse_syllable_token(token) for token in line.split()]

@@ -14,14 +14,14 @@ _spec.loader.exec_module(ab)
 BETTER = {"items_per_s": "higher", "op_ms_p50": "lower"}
 
 
-def run_output(workload, scaled, unscaled, failed=0, attempted=100, seed=1):
+def run_output(workload, scaled, unscaled, failed=0, attempted=100, seed=1, lines=1808):
     """The lines run.py prints for one untraced workload run."""
     result = {"correct": failed == 0, "attempted": attempted, "failed": failed,
               "metrics": {name: {"value": value, "unit": "u"} for name, value in scaled.items()}}
     return "\n".join([
         f"# {workload} seed={seed} trace=0 ops=120",
         '#   inputs: {"shards": 4}',
-        "#   src_nonblank_lines: 1808",
+        f"#   src_nonblank_lines: {lines}",
         "#   calibration_ms_median: 3.5",
         f"#   unscaled: {json.dumps(unscaled)}",
         f"#   failed_frac: {failed / attempted:.6f} ratio ({failed} of {attempted} items)",
@@ -30,12 +30,13 @@ def run_output(workload, scaled, unscaled, failed=0, attempted=100, seed=1):
     ])
 
 
-def side(items, op_ms, failed=0):
+def side(items, op_ms, failed=0, lines=1808):
     """parse_output of a two-workload run whose gradcheck reads the given figures."""
     text = "\n".join([
-        run_output("score", {"items_per_s": 400.0, "op_ms_p50": 60.0}, {"items_per_s": 300.0, "op_ms_p50": 80.0}),
+        run_output("score", {"items_per_s": 400.0, "op_ms_p50": 60.0}, {"items_per_s": 300.0, "op_ms_p50": 80.0},
+                   lines=lines),
         run_output("gradcheck", {"items_per_s": items, "op_ms_p50": op_ms},
-                   {"items_per_s": items / 2, "op_ms_p50": op_ms * 2}, failed=failed),
+                   {"items_per_s": items / 2, "op_ms_p50": op_ms * 2}, failed=failed, lines=lines),
     ])
     return ab.parse_output(text)
 
@@ -110,6 +111,11 @@ def test_format_rows_prints_one_line_a_row():
     (line,) = [line for line in lines if line.startswith("gradcheck  scaled   items_per_s")]
     assert "+10.0 %" in line and "head better in 1/1" in line
     assert any(line.startswith("gradcheck  -        failed_frac") for line in lines)
+
+
+def test_line_counts_name_each_side_and_the_change():
+    pairs = [{"base": side(200.0, 5.0, lines=1833), "head": side(210.0, 4.9, lines=1823)}]
+    assert ab.format_line_counts(pairs) == "# src_nonblank_lines: base 1833  head 1823 (-10)"
 
 
 def test_directions_come_from_the_benchmark_declaration():

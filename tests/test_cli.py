@@ -284,6 +284,15 @@ class TestDemoHead:
         assert exc.value.code == 2
         assert "--configs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["--configs", "1", "--seed", "-1"],
+                                      ["--configs", "0", "--seed", "-5", "--dump-params", "-"]])
+    def test_negative_seed_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["demo-head", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--seed must be 0 or more, got" in captured.err
+
     def test_params_dump_and_check(self, capsys, tmp_path):
         path = tmp_path / "params.txt"
         code, _, _ = run(capsys, "demo-head", "--configs", "0", "--dump-params", str(path))
@@ -643,7 +652,7 @@ def test_only_demo_head_imports_numpy(tmp_path):
 
 
 def test_overflow_is_one_error_line_in_a_fresh_process(tmp_path):
-    """demo-head --load-params imports numpy for np.errstate before head has read it."""
+    """demo-head --load-params reads np.errstate through head's lazy numpy in a fresh process."""
     huge = tmp_path / "huge.txt"
     params = PARAMS.read_text("utf-8")
     huge.write_text(re.sub(r"(?m)^(fuse\t\S+\t)\S+", r"\g<1>1e300", params, count=1), "utf-8")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vietphon import corpus
+from vietphon import cli, corpus, tokenizer
 from vietphon.corpus import (
     MalformedManifestLine,
     clean_words,
@@ -69,6 +69,35 @@ class TestIsVietnamese:
         verdict = is_vietnamese_word(word)
         with mock.patch.object(corpus, "closed_syllables", dict):
             assert is_vietnamese_word(word) == verdict
+
+
+class TestLaxWordsBuildNoRenderIndex:
+    """A word outside the closed set renders by rule: no path builds detokenize's written-form index."""
+
+    @pytest.fixture(autouse=True)
+    def unbuilt_index(self):
+        tokenizer._written_forms.cache_clear()
+
+    @staticmethod
+    def built():
+        return tokenizer._written_forms.cache_info().currsize != 0
+
+    def test_filter_manifest(self):
+        line = json.dumps({"id": "u1", "transcript": "bat ba", "split": "train"})
+        kept, discarded, _ = filter_manifest(load_manifest([line]))
+        assert len(kept) == 1 and not discarded
+        assert not self.built()
+
+    def test_is_vietnamese_word(self):
+        assert is_vietnamese_word("bat")
+        assert not self.built()
+
+    def test_roundtrip(self, tmp_path, capsys):
+        words = tmp_path / "words.txt"
+        words.write_text("bat\nba\n", "utf-8")
+        assert cli.main(["roundtrip", str(words)]) == 0
+        assert capsys.readouterr().out == "2 words, 0 mismatches\n"
+        assert not self.built()
 
 
 class TestManifest:

@@ -1,4 +1,3 @@
-import contextlib
 import unicodedata
 from unittest import mock
 
@@ -339,12 +338,20 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-@contextlib.contextmanager
-def _rule_path():
-    """parse_syllable_token and render_syllable with empty closed-set indexes: the rules alone."""
-    with mock.patch.object(tokenizer, "_syllables_by_token", dict), \
-            mock.patch.object(tokenizer, "_written_forms", dict):
-        yield
+def _detokenize_by_rule(syllables):
+    """detokenize without its closed-set lookup: render_syllable on every syllable."""
+    words = []
+    for index, syllable in enumerate(syllables):
+        try:
+            words.append(render_syllable(syllable))
+        except RenderFailure as exc:
+            raise RenderFailure(f"syllable {index}: {exc}") from None
+    return " ".join(words)
+
+
+def _parse_phonemes_by_rule(line):
+    """parse_phonemes without its closed-set lookup: parse_syllable_token on every token."""
+    return [parse_syllable_token(token) for token in line.split()]
 
 
 class TestWireIndexes:
@@ -355,46 +362,59 @@ class TestWireIndexes:
         assert set(tokenizer._syllables_by_token().values()) == set(closed.values())
 
     def test_every_component_tuple_reads_and_renders_as_by_rule(self, component_syllables):
-        def outcomes():
-            return [(_outcome(parse_syllable_token, format_syllable(s)), _outcome(render_syllable, s))
-                    for s in component_syllables]
-
-        with_indexes = outcomes()
-        with _rule_path():
-            assert outcomes() == with_indexes
+        tokens = [format_syllable(s) for s in component_syllables]
+        for s, token in zip(component_syllables, tokens):
+            assert _outcome(parse_phonemes, token) == _outcome(_parse_phonemes_by_rule, token)
+            assert _outcome(format_phonemes, [s]) == _outcome(format_syllable, s)
+            assert _outcome(detokenize, [s]) == _outcome(_detokenize_by_rule, [s])
+        # the lookups do answer: each closed-set token reads as the closed set's own Syllable
+        closed = {s: s for s in closed_syllables().values()}
+        assert sum(closed.get(s) is s for s in parse_phonemes(" ".join(tokens))) == len(closed)
 
     def test_wire_token_lookup_is_a_pure_cache(self, component_syllables):
         closed = set(closed_syllables().values())
         assert len(component_syllables) == 45_540 and closed <= set(component_syllables)
         assert set(tokenizer._wire_tokens()) == closed
         assert tokenizer._syllables_by_token() == {token: s for s, token in tokenizer._wire_tokens().items()}
-        for s in component_syllables:
-            assert format_syllable(s) == "|".join(syllable_tokens(s))
+        assert format_phonemes(component_syllables).split() == ["|".join(syllable_tokens(s))
+                                                                for s in component_syllables]
 
-    def test_closed_set_renders_without_validate(self):
-        with mock.patch.object(tokenizer, "validate", side_effect=AssertionError("validate called")):
-            assert {render_syllable(s): s for s in closed_syllables().values()} == closed_syllables()
+    def test_closed_set_detokenizes_without_validate(self):
+        ran = AssertionError("validate or render_syllable ran")
+        with mock.patch.object(tokenizer, "validate", side_effect=ran), \
+                mock.patch.object(tokenizer, "render_syllable", side_effect=ran):
+            assert detokenize(closed_syllables().values()).split() == list(closed_syllables())
+
+    def test_closed_set_lines_take_no_single_codec(self):
+        closed = list(closed_syllables().values())
+        ran = AssertionError("a single-syllable codec ran")
+        with mock.patch.object(tokenizer, "format_syllable", side_effect=ran), \
+                mock.patch.object(tokenizer, "parse_syllable_token", side_effect=ran):
+            assert parse_phonemes(format_phonemes(closed)) == closed
 
     def test_rule_path_errors_are_kept(self):
         for token in ("b|a|Flat", "b|∅|a|∅|Level", "b|∅||∅|Flat", "b|∅|a|∅|Flat|"):
-            with_indexes = _outcome(parse_syllable_token, token)
-            with _rule_path():
-                assert _outcome(parse_syllable_token, token) == with_indexes
-            assert with_indexes[0] is ValueError
-        for bad in (Syllable(vowel="a", initial="w"), Syllable(vowel="a", tone="Flat"),
-                    Syllable(vowel="a", final=["k"])):
-            with_indexes = _outcome(render_syllable, bad)
-            with _rule_path():
-                assert _outcome(render_syllable, bad) == with_indexes
-            assert with_indexes[0] in (RenderFailure, TypeError)
+            assert _outcome(parse_phonemes, token) == _outcome(_parse_phonemes_by_rule, token)
+            assert _outcome(parse_syllable_token, token)[0] is ValueError
+        for bad in (Syllable(vowel="a", initial="w"), Syllable(vowel="a", tone="Flat")):
+            assert _outcome(detokenize, [bad]) == _outcome(_detokenize_by_rule, [bad])
+            assert _outcome(render_syllable, bad)[0] is RenderFailure
+
+    def test_an_unhashable_field_fails_the_batch_lookups(self):
+        # the single codecs keep their outcome; the batch codecs' lookups raise TypeError first
+        bad = Syllable(vowel="a", final=["k"])
+        unhashable = (TypeError, "unhashable type: 'list'")
+        assert _outcome(render_syllable, bad) == unhashable
+        assert format_syllable(bad) == "∅|∅|a|['k']|Flat"
+        assert _outcome(detokenize, [bad]) == unhashable
+        assert _outcome(format_phonemes, [bad]) == unhashable
+        assert _outcome(parse_syllable_token, ["a"])[0] is AttributeError
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(st.sampled_from(WIRE_PARTS), st.sampled_from(WIRE_TOKENS), st.text(max_size=2)),
                     min_size=1, max_size=6).map("|".join))
     def test_random_tokens_read_as_by_rule(self, token):
-        with_indexes = _outcome(parse_syllable_token, token)
-        with _rule_path():
-            assert _outcome(parse_syllable_token, token) == with_indexes
+        assert _outcome(parse_phonemes, token) == _outcome(_parse_phonemes_by_rule, token)
 
 
 class TestLinearCost:

@@ -13,7 +13,8 @@ even pairs and the head first in odd ones.
 For each workload and end-to-end metric it prints both medians and quartiles,
 the change of the head's median, and in how many pairs the head was better
 (and equal), once for the calibration-scaled figures of the final JSON line
-and once for the unscaled ones of the ``# unscaled:`` line.  After the timed
+and once for the unscaled ones of the ``# unscaled:`` line, after each side's
+``src_nonblank_lines``.  After the timed
 pairs one traced pair (``--trace 1`` at seed SEED) runs each tree once more
 and every per-layer count (calls, fail, cells, accept_ratio) that differs
 between the sides is printed.  ``--out`` writes both sides' parsed output of
@@ -116,6 +117,12 @@ def traced_diff(base: dict, head: dict) -> list[dict]:
     return rows
 
 
+def format_line_counts(pairs: list[dict]) -> str:
+    """Each side's src_nonblank_lines, from the summary of its first run, and the head's change."""
+    base, head = (next(iter(pairs[0][side].values()))["summary"]["src_nonblank_lines"] for side in SIDES)
+    return f"# src_nonblank_lines: base {base}  head {head} ({head - base:+d})"
+
+
 def format_rows(rows: list[dict]) -> list[str]:
     lines = []
     for row in rows:
@@ -209,6 +216,7 @@ def main(argv=None) -> int:
     print(f"# base {args.base} ({commits['base'][:12]})  head {args.head} ({commits['head'][:12]})  "
           f"{args.pairs} pairs of --workload {args.workload} --seconds {args.seconds:g}, seeds "
           f"{args.seed}-{args.seed + args.pairs - 1}")
+    print(format_line_counts(pairs))
     print("\n".join(format_rows(rows)))
     print("\n".join(format_traced(args.seed, traced["diff"])))
     if args.out:
