@@ -10,15 +10,15 @@ neither side compiles a module while it is timed.  Pair p then runs each
 tree's own perfbench/run.py, as committed, at seed SEED + p, the base first in
 even pairs and the head first in odd ones.
 
-For each workload and end-to-end metric it prints both medians and quartiles,
-the change of the head's median, and in how many pairs the head was better
-(and equal), once for the calibration-scaled figures of the final JSON line
-and once for the unscaled ones of the ``# unscaled:`` line, after each side's
-``src_nonblank_lines``.  After the timed
-pairs one traced pair (``--trace 1`` at seed SEED) runs each tree once more
-and every per-layer count (calls, fail, cells, accept_ratio) that differs
-between the sides is printed.  ``--out`` writes both sides' parsed output of
-every pair and of the traced pair, that summary and that diff as JSON.
+It prints each side's ``src_nonblank_lines``; then for each workload and
+end-to-end metric both medians and quartiles, the change of the head's median,
+and in how many pairs the head was better (and equal), once for the
+calibration-scaled figures of the final JSON line and once for the unscaled
+ones of the ``# unscaled:`` line.  After the timed pairs one traced pair
+(``--trace 1`` at seed SEED) runs each tree once more and every per-layer count
+(calls, fail, cells, accept_ratio) that differs between the sides is printed.
+``--out`` writes both sides' parsed output of every pair and of the traced
+pair, that summary and that diff as JSON.
 """
 
 from __future__ import annotations
