@@ -73,16 +73,31 @@ def align(ref: Sequence, hyp: Sequence) -> list[tuple[str, int, int]]:
     pv or mv is set when D[i][j] - D[i-1][j] is +1 or -1), so the backtrace
     reads any cell as j + popcount(pv & low_i) - popcount(mv & low_i) (Hyyrö,
     "A note on bit-parallel alignment computation", PSC 2004).
+
+    The common suffix is matched without the recurrence: when the last
+    tokens are equal, D[m][n] = D[m-1][n-1], so the backtrace would match
+    them first anyway.  The masks are built over the whole reference before
+    the trim, so every reference token is still hashed.  The backtrace
+    carries the current distance D[i][j]: equal tokens are a match with no
+    lookup, for the same reason; otherwise one step reads the diagonal cell
+    (one popcount pair over column j - 1) and, failing a substitution, the
+    single bit i - 1 of column j's pv, which is set exactly when D[i-1][j]
+    is one less.  (The common prefix is not trimmed: the backtrace ends
+    there, and trimming it changes which tokens pair up.)
     """
     m, n = len(ref), len(hyp)
     masks = {}
     for i, token in enumerate(ref):
         masks[token] = masks.get(token, 0) | 1 << i
+    k = 0
+    while k < m and k < n and ref[m - 1 - k] == hyp[n - 1 - k]:
+        k += 1
+    m, n = m - k, n - k
     full = (1 << m) - 1
     pv, mv = full, 0  # column 0: D[i][0] = i
     columns = [(pv, mv)]
-    for token in hyp:
-        eq = masks.get(token, 0)
+    for token in hyp[:n]:
+        eq = masks.get(token, 0) & full
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = (mv | ~(xh | pv)) << 1 | 1  # row 0 rises by one a column: D[0][j] = j
@@ -91,35 +106,40 @@ def align(ref: Sequence, hyp: Sequence) -> list[tuple[str, int, int]]:
         mv = ph & xv
         columns.append((pv, mv))
 
-    def dist(i: int, j: int) -> int:
-        pv, mv = columns[j]
-        low = (1 << i) - 1
-        return j + (pv & low).bit_count() - (mv & low).bit_count()
-
-    ops = []
-    i, j = m, n
-    while i > 0 or j > 0:
-        here = dist(i, j)
-        if i > 0 and j > 0:
-            same = ref[i - 1] == hyp[j - 1]
-            if dist(i - 1, j - 1) + (0 if same else 1) == here:
-                ops.append(("match" if same else "sub", i - 1, j - 1))
-                i, j = i - 1, j - 1
-                continue
-        if i > 0 and dist(i - 1, j) + 1 == here:
-            ops.append(("del", i - 1, -1))
-            i -= 1
+    back = []
+    i, j, here = m, n, n + pv.bit_count() - mv.bit_count()
+    while i > 0 and j > 0:
+        if ref[i - 1] == hyp[j - 1]:
+            back.append(("match", i - 1, j - 1))
+            i, j = i - 1, j - 1
             continue
-        ops.append(("ins", -1, j - 1))
-        j -= 1
-    ops.reverse()
+        pv, mv = columns[j - 1]
+        low = (1 << (i - 1)) - 1
+        if j - 1 + (pv & low).bit_count() - (mv & low).bit_count() == here - 1:
+            back.append(("sub", i - 1, j - 1))
+            i, j = i - 1, j - 1
+        elif columns[j][0] >> (i - 1) & 1:
+            back.append(("del", i - 1, -1))
+            i -= 1
+        else:
+            back.append(("ins", -1, j - 1))
+            j -= 1
+        here -= 1
+    ops = [("del", t, -1) for t in range(i)] + [("ins", -1, t) for t in range(j)]
+    ops += reversed(back)
+    ops += [("match", m + t, n + t) for t in range(k)]
     return ops
 
 
 def _tally(ops, ref: Sequence, hyp: Sequence, pick=lambda token: token) -> ErrorRateReport:
-    """S/D/I counts of align ops; a paired step is a substitution when pick differs on it."""
+    """S/D/I counts of align ops; a paired step is a substitution when pick differs on it.
+
+    Matches are skipped: they pair equal tokens, on which no pick differs.
+    """
     s = d = i_ = 0
     for op, ri, hi in ops:
+        if op == "match":
+            continue
         if op == "del":
             d += 1
         elif op == "ins":
@@ -159,7 +179,7 @@ def cer(ref: str, hyp: str, include_spaces: bool = False) -> ErrorRateReport:
 
     def chars(text: str) -> list[str]:
         text = unicodedata.normalize("NFC", text)
-        return list(text) if include_spaces else [c for c in text if not c.isspace()]
+        return list(text) if include_spaces else list("".join(text.split()))
 
     return _report(chars(ref), chars(hyp))
 

@@ -92,6 +92,23 @@ class TestAlignAgainstTheTable:
             hyp = [rng.randrange(alphabet) for _ in range(n)]
             assert align(ref, hyp) == dp_align(ref, hyp)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_shared_ends(self, data):
+        # suffixes up to 200 tokens carry the trimmed common suffix across the 64-bit word boundary
+        tokens = st.integers(0, data.draw(st.integers(1, 4)) - 1)
+        prefix, a, b = (data.draw(st.lists(tokens, max_size=12)) for _ in range(3))
+        suffix = data.draw(st.lists(tokens, max_size=200))
+        ref, hyp = prefix + a + suffix, prefix + b + suffix
+        assert align(ref, hyp) == dp_align(ref, hyp)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 63, 64, 65, 127, 128, 129, 130])
+    def test_equal_sequences_are_all_matches(self, m):
+        rng = random.Random(m)
+        for alphabet in (1, 3):
+            ref = [rng.randrange(alphabet) for _ in range(m)]
+            assert align(ref, list(ref)) == [("match", t, t) for t in range(m)] == dp_align(ref, ref)
+
     def test_syllable_and_string_tokens(self, lexicon):
         rng = random.Random(29)
         pool = rng.sample(lexicon, 12)
@@ -102,7 +119,9 @@ class TestAlignAgainstTheTable:
             words = ([str(s) for s in ref], [str(s) for s in hyp])
             assert align(*words) == dp_align(*words)
 
-    @pytest.mark.parametrize("ref, hyp", [([[1]], [[1]]), ([1, 2], [{3}]), ([], [[]]), ([{}], [])])
+    # ([1, [2]], [3, [2]]): the unhashable token sits in the common suffix, which align trims
+    @pytest.mark.parametrize("ref, hyp", [([[1]], [[1]]), ([1, 2], [{3}]), ([], [[]]), ([{}], []),
+                                          ([1, [2]], [3, [2]])])
     def test_unhashable_tokens_raise_type_error(self, ref, hyp):
         with pytest.raises(TypeError):
             align(ref, hyp)
@@ -169,6 +188,14 @@ class TestEditDistance:
 
 
 class TestRates:
+    def test_cer_drops_every_whitespace_character(self):
+        spaces = [c for c in map(chr, range(0x110000)) if c.isspace()]
+        assert spaces
+        for c in spaces:
+            assert cer("a" + c + "b", "ab").errors == 0
+            # NFC keeps each one a single character (U+2000 and U+2001 become U+2002 and U+2003)
+            assert cer("a" + c + "b", "ab", include_spaces=True) == ErrorRateReport(0, 1, 0, 3)
+
     def test_identical_strings_are_zero(self):
         text = "một hai ba"
         assert wer(text, text).rate == 0
@@ -265,6 +292,24 @@ class TestPer:
         tuple_report = per_components(ref, hyp, alignment="tuple")
         flat_report = per_components(ref, hyp, alignment="flat")
         assert tuple_report.tone.errors >= flat_report.tone.errors
+
+    def test_tuple_mode_equals_a_tally_over_every_paired_op(self, lexicon):
+        # the oracle compares each component on matches too, which per_components skips
+        rng = random.Random(31)
+        pool = rng.sample(lexicon, 12)
+        for _ in range(200):
+            ref = " ".join(rng.choices(pool, k=rng.randrange(0, 30)))
+            hyp = " ".join(rng.choices(pool, k=rng.randrange(0, 30)))
+            ref_syls, hyp_syls = tokenize(ref), tokenize(hyp)
+            ops = dp_align(ref_syls, hyp_syls)
+            d, i = (sum(op == kind for op, _, _ in ops) for kind in ("del", "ins"))
+            want = []
+            for field in ("initial", "rhyme", "tone"):
+                s = sum(op in ("match", "sub") and getattr(ref_syls[ri], field) != getattr(hyp_syls[hi], field)
+                        for op, ri, hi in ops)
+                want.append(ErrorRateReport(s, d, i, len(ref_syls)))
+            report = per_components(ref, hyp)
+            assert [report.initial, report.rhyme, report.tone] == want
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
