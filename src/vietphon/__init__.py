@@ -10,7 +10,6 @@ from .phonology import GraphemeRule, PhonemeClass, Syllable, Tone, inventory, va
 from .tokenizer import (
     MultipleToneMarks,
     ParseFailure,
-    RenderFailure,
     detokenize,
     parse_syllable,
     render_syllable,
@@ -32,7 +31,6 @@ __all__ = [
     "validate",
     "MultipleToneMarks",
     "ParseFailure",
-    "RenderFailure",
     "strip_tone",
     "parse_syllable",
     "render_syllable",

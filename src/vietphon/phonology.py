@@ -1,9 +1,9 @@
-"""Vietnamese phoneme inventories, the syllable model, and structural validation.
+"""Vietnamese phoneme inventories, the syllable model, and the strict tone check.
 
 The grapheme rule table ships as a versioned TSV inside the package and is the
-single source of truth: the tokenizer matches against it, the vocabulary is
-built from it, and the bundled syllable list is generated from it.  All tables
-are immutable after import and safe for concurrent reads.
+single source of truth: each Syllable is checked against it, the tokenizer
+matches against it, and the vocabulary and the bundled syllable list are built
+from it.  All tables are immutable after import and safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -124,10 +124,10 @@ class _SyllableFields(NamedTuple):
 class Syllable(_SyllableFields):
     """Five-field phonemic decomposition of one Vietnamese word.
 
-    Components are IPA strings from the rule table; the vowel nucleus is
-    compulsory, everything else may be absent.  It equals and hashes as the
-    plain 5-tuple (vowel, initial, glide, final, tone).  Every construction,
-    ``_replace`` included, passes ``_make``'s nucleus check.
+    Components are IPA strings of their rule-table class, the tone a Tone; the
+    vowel nucleus is compulsory, everything else may be absent.  It equals and
+    hashes as the plain 5-tuple (vowel, initial, glide, final, tone).  Every
+    construction, ``_replace`` included, passes ``_make``'s rule-table check.
     """
 
     __slots__ = ()
@@ -138,8 +138,13 @@ class Syllable(_SyllableFields):
     @classmethod
     def _make(cls, fields) -> "Syllable":
         vowel, initial, glide, final, tone = fields
-        if not vowel:
-            raise ValueError("missing nucleus: a syllable requires a vowel")
+        try:
+            known = (vowel in _VOWELS and initial in _INITIALS and glide in _GLIDES and final in _FINALS
+                     and tone in _TONES)
+        except TypeError:  # an unhashable field
+            known = False
+        if not known:
+            raise ValueError(_violations((vowel, initial, glide, final, tone)))
         return tuple.__new__(cls, (vowel, initial, glide, final, tone))
 
     @property
@@ -147,26 +152,35 @@ class Syllable(_SyllableFields):
         return (self.glide, self.vowel, self.final)
 
 
-def validate(syllable: Syllable, strict: bool = False) -> list[str]:
-    """Check structural invariants; returns a list of violations (empty = ok).
+#: each Syllable field's rule-table set, in field order; None stands for an absent component
+_FIELD_SETS = {"vowel": VOWEL_IPAS, "initial": INITIAL_IPAS | {None}, "glide": GLIDE_IPAS | {None},
+               "final": FINAL_IPAS | {None}, "tone": frozenset(Tone)}
+_VOWELS, _INITIALS, _GLIDES, _FINALS, _TONES = _FIELD_SETS.values()
 
-    Strict mode additionally enforces the stop-final tone restriction, which
+
+def _violations(fields) -> str:
+    """Syllable._make's error: each field outside its rule-table set, in field order."""
+    problems = []
+    for (name, values), value in zip(_FIELD_SETS.items(), fields):
+        try:
+            known = value in values
+        except TypeError:  # unhashable
+            known = False
+        if not known:
+            problems.append("missing nucleus: a syllable requires a vowel" if name == "vowel" and not value
+                            else f"unknown {name}: {value!r}")
+    return "; ".join(problems)
+
+
+def validate(syllable: Syllable, strict: bool = False) -> list[str]:
+    """Violations of the stop-final tone restriction in strict mode; empty = ok, and always empty otherwise.
+
+    Syllable itself holds each component to the rule table.  The restriction
     holds for the bundled lexicon but is not part of the core rule listing.
     """
-    violations = []
-    if syllable.vowel not in VOWEL_IPAS:
-        violations.append(f"unknown vowel: {syllable.vowel!r}")
-    if syllable.initial is not None and syllable.initial not in INITIAL_IPAS:
-        violations.append(f"unknown initial: {syllable.initial!r}")
-    if syllable.glide is not None and syllable.glide not in GLIDE_IPAS:
-        violations.append(f"unknown glide: {syllable.glide!r}")
-    if syllable.final is not None and syllable.final not in FINAL_IPAS:
-        violations.append(f"unknown final: {syllable.final!r}")
-    if not isinstance(syllable.tone, Tone):
-        violations.append(f"unknown tone: {syllable.tone!r}")
-    elif strict and syllable.final in STOP_FINALS and syllable.tone not in STOP_TONES:
-        violations.append("stop-final tone: stop finals require MidRaising or MidGlottalizedRaising")
-    return violations
+    if strict and syllable.final in STOP_FINALS and syllable.tone not in STOP_TONES:
+        return ["stop-final tone: stop finals require MidRaising or MidGlottalizedRaising"]
+    return []
 
 
 # ---------------------------------------------------------------------------

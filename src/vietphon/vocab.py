@@ -54,7 +54,7 @@ class Vocabulary:
         _ids_by_syllable; otherwise the first token missing from its space raises UnknownComponent."""
         try:
             return self._ids_by_syllable[syllable]
-        except (KeyError, TypeError):  # outside the closed set; TypeError: an unhashable field
+        except KeyError:  # outside the closed set
             pass
         tokens = syllable_tokens(Syllable._make(syllable))
         for (space, _), token_ids, token in zip(self.spaces, self._token_ids, tokens):

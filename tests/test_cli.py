@@ -102,6 +102,12 @@ class TestDetokenize:
         code, _, err = run(capsys, "detokenize", str(src))
         assert code == 1 and "in.txt:1" in err
 
+    def test_unknown_component_fails_as_the_line_is_read(self, capsys, tmp_path):
+        # parse_phonemes builds the Syllable, so the error carries no syllable index
+        src = tmp_path / "in.txt"
+        src.write_text("b|∅|a|∅|Flat\nb|∅|a|∅|Flat w|∅|a|∅|Flat\n", "utf-8")
+        assert run(capsys, "detokenize", str(src)) == (1, "ba\n", f"error: {src}:2: unknown initial: 'w'\n")
+
 
 class TestRoundtrip:
     def test_bundled_lexicon(self, capsys):

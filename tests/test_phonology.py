@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vietphon.phonology import (
+    FINAL_IPAS,
+    GLIDE_IPAS,
+    INITIAL_IPAS,
+    VOWEL_IPAS,
     GraphemeRule,
     PhonemeClass,
     RHYMES,
@@ -115,6 +121,27 @@ class TestInventories:
         assert "# version: 1" in rules_text()
 
 
+#: each field's rule-table set; None is in the sets of the three optional components
+FIELD_SETS = {"vowel": VOWEL_IPAS, "initial": INITIAL_IPAS | {None}, "glide": GLIDE_IPAS | {None},
+              "final": FINAL_IPAS | {None}, "tone": frozenset(Tone)}
+#: values from every set, so that a field also draws the other fields' members
+_ANY_VALUE = st.one_of(
+    *(st.sampled_from(sorted(ipas - {None})) for name, ipas in FIELD_SETS.items() if name != "tone"),
+    st.sampled_from(list(Tone)), st.sampled_from([t.label for t in Tone]), st.none(), st.text(max_size=2),
+    st.just(["k"]),
+)
+#: per field: mostly its own set's members, else any value
+FIELD_VALUES = {name: st.one_of(st.sampled_from(sorted(values, key=repr)), _ANY_VALUE)
+                for name, values in FIELD_SETS.items()}
+
+
+def _in_table(name, value):
+    try:
+        return value in FIELD_SETS[name]
+    except TypeError:  # unhashable
+        return False
+
+
 class TestSyllable:
     def test_construction_without_vowel_rejected(self):
         with pytest.raises(ValueError, match="nucleus"):
@@ -123,10 +150,6 @@ class TestSyllable:
             Syllable(vowel=None)
         with pytest.raises(ValueError, match="nucleus"):
             Syllable(vowel="a")._replace(vowel="")
-
-    def test_forced_empty_vowel_fails_validate(self):
-        s = tuple.__new__(Syllable, ("", None, None, None, Tone.FLAT))
-        assert validate(s) == ["unknown vowel: ''"]
 
     def test_equals_and_hashes_as_its_plain_tuple(self, component_syllables):
         for s in component_syllables:
@@ -148,13 +171,33 @@ class TestSyllable:
             assert validate(Syllable(vowel="a", final="t", tone=tone), strict=True) == []
 
     def test_unknown_components_named(self):
-        s = Syllable(vowel="a", initial="w")
-        assert any("unknown initial" in v for v in validate(s))
+        with pytest.raises(ValueError, match="^unknown initial: 'w'; unknown tone: 'Flat'$"):
+            Syllable(vowel="a", initial="w", tone="Flat")
 
     @pytest.mark.parametrize("component", ["vowel", "glide", "final"])
     def test_each_unknown_component_is_named(self, component):
-        s = Syllable(**{"vowel": "a", component: "w"})
-        assert validate(s) == [f"unknown {component}: 'w'"]
+        with pytest.raises(ValueError, match=f"^unknown {component}: 'w'$"):
+            Syllable(**{"vowel": "a", component: "w"})
+
+    def test_non_strict_validate_passes_every_syllable(self, component_syllables):
+        assert not any(validate(s) for s in component_syllables)
+
+    @settings(max_examples=500, deadline=None)
+    @given(fields=st.fixed_dictionaries(FIELD_VALUES))
+    def test_construction_checks_each_field_against_the_rule_table(self, fields):
+        bad = [name for name in Syllable._fields if not _in_table(name, fields[name])]  # in message order
+        for build in (lambda: Syllable(**fields), lambda: Syllable(vowel="a")._replace(**fields)):
+            if not bad:
+                assert build() == tuple(fields[name] for name in Syllable._fields)
+                continue
+            with pytest.raises(ValueError) as raised:
+                build()
+            problems = str(raised.value).split("; ")
+            assert len(problems) == len(bad)
+            for name, problem in zip(bad, problems):
+                missing = name == "vowel" and not fields["vowel"]
+                assert problem.startswith("missing nucleus" if missing else f"unknown {name}: "), problem
+
 
 
 class TestRhymeTable:

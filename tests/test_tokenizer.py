@@ -23,7 +23,6 @@ from vietphon.tokenizer import (
     MultipleToneMarks,
     ParseFailure,
     ParseStats,
-    RenderFailure,
     TokenizeError,
     closed_syllables,
     detokenize,
@@ -212,8 +211,9 @@ class TestRender:
             assert render_syllable(parse_syllable(word).syllable) == expected
 
     def test_render_failure_on_bad_component(self):
-        with pytest.raises(RenderFailure):
-            render_syllable(Syllable(vowel="a", initial="w"))
+        # no Syllable holds the bad component; a plain tuple is refused with Syllable's own error
+        with pytest.raises(ValueError, match="^unknown initial: 'w'$"):
+            render_syllable(("a", "w", None, None, Tone.FLAT))
 
     def test_output_composed(self):
         word = render_syllable(Syllable(initial="k", vowel="ie", final="m",
@@ -240,10 +240,9 @@ class TestDetokenize:
     def test_gieng_nuoc(self):
         assert detokenize(tokenize("giếng nước")) == "giếng nước"
 
-    def test_propagates_index(self):
-        bad = Syllable(vowel="a", initial="w")
-        with pytest.raises(RenderFailure, match="syllable 1"):
-            detokenize([Syllable(vowel="a"), bad])
+    def test_bad_tuple_raises_the_construction_error(self):
+        with pytest.raises(ValueError, match="^unknown initial: 'w'$"):
+            detokenize([Syllable(vowel="a"), ("a", "w", None, None, Tone.FLAT)])
 
 
 class TestRoundTrip:
@@ -340,13 +339,7 @@ def _outcome(fn, *args):
 
 def _detokenize_by_rule(syllables):
     """detokenize without its closed-set lookup: render_syllable on every syllable."""
-    words = []
-    for index, syllable in enumerate(syllables):
-        try:
-            words.append(render_syllable(syllable))
-        except RenderFailure as exc:
-            raise RenderFailure(f"syllable {index}: {exc}") from None
-    return " ".join(words)
+    return " ".join(render_syllable(s) for s in syllables)
 
 
 def _parse_phonemes_by_rule(line):
@@ -393,22 +386,34 @@ class TestWireIndexes:
             assert parse_phonemes(format_phonemes(closed)) == closed
 
     def test_rule_path_errors_are_kept(self):
-        for token in ("b|a|Flat", "b|∅|a|∅|Level", "b|∅||∅|Flat", "b|∅|a|∅|Flat|"):
+        for token in ("b|a|Flat", "b|∅|a|∅|Level", "b|∅||∅|Flat", "b|∅|a|∅|Flat|", "w|∅|a|∅|Flat"):
             assert _outcome(parse_phonemes, token) == _outcome(_parse_phonemes_by_rule, token)
             assert _outcome(parse_syllable_token, token)[0] is ValueError
-        for bad in (Syllable(vowel="a", initial="w"), Syllable(vowel="a", tone="Flat")):
-            assert _outcome(detokenize, [bad]) == _outcome(_detokenize_by_rule, [bad])
-            assert _outcome(render_syllable, bad)[0] is RenderFailure
+        assert _outcome(parse_phonemes, "w|∅|a|∅|Flat") == (ValueError, "unknown initial: 'w'")
+        for bad, message in ((("a", "w", None, None, Tone.FLAT), "unknown initial: 'w'"),
+                             (("a", None, None, None, "Flat"), "unknown tone: 'Flat'")):
+            expected = (ValueError, message)
+            assert _outcome(Syllable._make, bad) == expected
+            assert _outcome(detokenize, [bad]) == _outcome(_detokenize_by_rule, [bad]) == expected
+            assert _outcome(render_syllable, bad) == _outcome(format_syllable, bad) == expected
 
     def test_an_unhashable_field_fails_the_batch_lookups(self):
-        # the single codecs keep their outcome; the batch codecs' lookups raise TypeError first
-        bad = Syllable(vowel="a", final=["k"])
+        # no Syllable holds one; on a plain tuple the single codecs raise Syllable's ValueError, while the
+        # batch codecs' lookups raise TypeError first
+        bad = ("a", None, None, ["k"], Tone.FLAT)
+        assert _outcome(render_syllable, bad) == _outcome(format_syllable, bad) == (ValueError, "unknown final: ['k']")
         unhashable = (TypeError, "unhashable type: 'list'")
-        assert _outcome(render_syllable, bad) == unhashable
-        assert format_syllable(bad) == "∅|∅|a|['k']|Flat"
         assert _outcome(detokenize, [bad]) == unhashable
         assert _outcome(format_phonemes, [bad]) == unhashable
         assert _outcome(parse_syllable_token, ["a"])[0] is AttributeError
+
+    def test_no_wire_token_reads_back_as_another_syllable(self):
+        # a field outside the rule table never reaches format_syllable, which wrote its str into the token
+        for fields in ({"final": ["k"]}, {"final": "w"}):
+            with pytest.raises(ValueError, match="^unknown final: "):
+                Syllable(vowel="a", **fields)
+        with pytest.raises(ValueError, match=r"""^unknown final: "\['k'\]"$"""):
+            parse_syllable_token("∅|∅|a|['k']|Flat")
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(st.sampled_from(WIRE_PARTS), st.sampled_from(WIRE_TOKENS), st.text(max_size=2)),
