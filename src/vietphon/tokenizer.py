@@ -322,8 +322,8 @@ def render_syllable(syllable: Syllable) -> str:
 
     The tone mark lands on the last strong nucleus letter (ê ô ơ ă â ư) if one
     exists, else on the first nucleus letter; glides never carry it.  Output
-    is canonically composed.  Every Syllable has one; a plain 5-tuple is
-    checked as Syllable._make checks it.
+    is canonically composed.  Every Syllable has a written form; a plain
+    5-tuple is checked first, as Syllable._make checks it.
     """
     return _written_form(Syllable._make(syllable))
 

@@ -194,7 +194,6 @@ class TestClosedSetLookup:
                 mock.patch.object(vocab_module, "parse_syllable", side_effect=counted), \
                 mock.patch.object(tokenizer, "parse_syllable", side_effect=counted), \
                 mock.patch.object(tokenizer, "render_syllable", side_effect=counted), \
-                mock.patch.object(tokenizer, "validate", side_effect=counted), \
                 mock.patch.object(phonology, "validate", side_effect=counted):
             assert fresh.decode(ids) is ba
 
