@@ -58,6 +58,10 @@ HEAD_PARTS = ("ln_gain", "ln_bias", "w_up", "w_down", "w_out", "b_out")
 #: several arrays always fits one chunk, and only a single array is ever split,
 #: into chunks of at least one entry
 FD_CHUNK_FLOATS = 1 << 20
+#: parameter step of finite_difference_grads' central differences, read on each call
+FD_STEP = 1e-5
+#: grad_check passes when every array's max relative error is below this, read on each call
+GRAD_TOLERANCE = 1e-4
 
 
 class NonFiniteInput(ValueError):
@@ -321,19 +325,18 @@ def sequence_grads(params: HeadParams, prev_ids, targets, residual: str = "norma
     return total, per_head, grads
 
 
-def finite_difference_grads(params: HeadParams, prev_ids, targets,
-                            residual: str = "normalized", step: float = 1e-5):
-    """Central differences of the composite loss for every parameter entry.
+def finite_difference_grads(params: HeadParams, prev_ids, targets, residual: str = "normalized"):
+    """Central differences, at a step of FD_STEP, of the composite loss for every parameter entry.
 
     Consecutive arrays of one name prefix (``fuse``, ``embed``, ``init``,
     ``rhyme``, ``tone``) form a pack while the whole pack fits one chunk of
     copies and forward activations of at most FD_CHUNK_FLOATS floats: a pack
     of several arrays always fits one chunk, and only a single array is ever
     split.  A chunk of k entries from entry s is one sequence_loss call on a
-    (2k, P) batch of the pack's P entries: row i raises entry s + i by step and
+    (2k, P) batch of the pack's P entries: row i raises entry s + i by the step and
     row k + i lowers it.  The caller's arrays are read, never written.
     """
-    arrays = params.arrays
+    arrays, step = params.arrays, FD_STEP
     # a variant's forward activations per step, about: embeddings and fused
     # features, three FFN caches, and logits with their softmax temporaries
     width = 25 * params.config.dim + 4 * sum(params.config.vocab_sizes.values())
@@ -379,37 +382,11 @@ def finite_difference_grads(params: HeadParams, prev_ids, targets,
 REL_ERR_FLOOR = 1e-6
 
 
-@dataclass(frozen=True)
-class GradCheckReport:
-    rows: tuple[tuple[str, float], ...]  # (parameter name, max relative error)
-    tolerance: float
-
-    @property
-    def max_rel_err(self) -> float:
-        return max((err for _, err in self.rows), default=0.0)
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_err < self.tolerance
-
-    @property
-    def failures(self) -> list[str]:
-        return [name for name, err in self.rows if err >= self.tolerance]
-
-    def as_dict(self) -> dict:
-        return {
-            "max_rel_err": self.max_rel_err,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "failures": self.failures,
-            "rows": {name: err for name, err in self.rows},
-        }
-
-
 def grad_check(params: HeadParams, prev_ids, targets, residual: str = "normalized",
-               step: float = 1e-5, tolerance: float = 1e-4,
-               corrupt: tuple[str, int, float] | None = None) -> GradCheckReport:
-    """Analytic vs central-difference gradients, per parameter array.
+               corrupt: tuple[str, int, float] | None = None) -> dict:
+    """Analytic vs central-difference gradients, per parameter array, as a JSON-ready dict;
+    ``rows`` maps each array name to its max relative error, and ``failures`` lists
+    the arrays at or above GRAD_TOLERANCE.
 
     ``corrupt`` injects an offset into one analytic partial (name, flat index,
     delta) and exists as a negative control: the report must then fail.
@@ -418,26 +395,35 @@ def grad_check(params: HeadParams, prev_ids, targets, residual: str = "normalize
     if corrupt is not None:
         name, index, delta = corrupt
         analytic[name].reshape(-1)[index] += delta
-    numeric = finite_difference_grads(params, prev_ids, targets, residual, step)
-    rows = []
+    numeric = finite_difference_grads(params, prev_ids, targets, residual)
+    rows = {}
     for name in params.arrays:
         a, n = analytic[name], numeric[name]
         denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), REL_ERR_FLOOR)
-        rows.append((name, float((np.abs(a - n) / denom).max(initial=0.0))))
-    return GradCheckReport(rows=tuple(rows), tolerance=tolerance)
+        rows[name] = float((np.abs(a - n) / denom).max(initial=0.0))
+    tolerance = GRAD_TOLERANCE
+    max_rel_err = max(rows.values(), default=0.0)
+    return {
+        "max_rel_err": max_rel_err,
+        "tolerance": tolerance,
+        "passed": max_rel_err < tolerance,
+        "failures": [name for name, err in rows.items() if err >= tolerance],
+        "rows": rows,
+    }
 
 
 #: minimum distance of any rectifier pre-activation from its kink; central
 #: differences are only meaningful away from the non-differentiable point,
-#: and a 1e-5 parameter step moves pre-activations by well under 1e-6 here
+#: and a parameter step of FD_STEP moves pre-activations by well under 1e-6 here
 KINK_MARGIN = 1e-4
 
 
-def toy_batch(seed: int, residual: str = "normalized"):
+def toy_batch(seed: int):
     """A seeded toy configuration (params, ids, targets) away from relu kinks.
 
     Seeds whose pre-activations land within KINK_MARGIN of zero are skipped
-    deterministically by probing seed + k*100003.
+    deterministically by probing seed + k*100003.  The pre-activations come
+    before the residual sum, so the configuration serves both residual modes.
     """
     for attempt in range(50):
         probe = seed + attempt * 100003
@@ -452,31 +438,30 @@ def toy_batch(seed: int, residual: str = "normalized"):
         ids = np.column_stack([rng.integers(0, v, size=n) for v in
                                (config.v_init, config.v_rhyme, config.v_tone)])
         targets = {h: rng.integers(0, v, size=n) for h, v in config.vocab_sizes.items()}
-        _, (_, _, layers) = forward(params, ids, residual)
+        _, (_, _, layers) = forward(params, ids)
         margin = min(float(np.abs(layers[h].u).min()) for h in HEADS)
         if margin > KINK_MARGIN:
             return params, ids, targets
     raise RuntimeError(f"no kink-free configuration found from seed {seed}")
 
 
-def run_grad_suite(n_configs: int = 100, base_seed: int = 0, step: float = 1e-5,
-                   tolerance: float = 1e-4, residual: str = "normalized") -> dict:
-    """Gradient verification over seeded toy configurations; JSON-friendly summary."""
+def run_grad_suite(n_configs: int = 100, base_seed: int = 0, residual: str = "normalized") -> dict:
+    """grad_check over seeded toy configurations, at FD_STEP and GRAD_TOLERANCE; JSON-friendly summary."""
     worst = 0.0
     worst_config = None
     failures = []
     for k in range(n_configs):
-        params, ids, targets = toy_batch(base_seed + k, residual)
-        report = grad_check(params, ids, targets, residual, step, tolerance)
-        if report.max_rel_err > worst:
-            worst, worst_config = report.max_rel_err, k
-        if not report.passed:
-            failures.append({"config": k, "parameters": report.failures})
+        params, ids, targets = toy_batch(base_seed + k)
+        report = grad_check(params, ids, targets, residual)
+        if report["max_rel_err"] > worst:
+            worst, worst_config = report["max_rel_err"], k
+        if not report["passed"]:
+            failures.append({"config": k, "parameters": report["failures"]})
     return {
         "configs": n_configs,
         "residual": residual,
-        "step": step,
-        "tolerance": tolerance,
+        "step": FD_STEP,
+        "tolerance": GRAD_TOLERANCE,
         "max_rel_err": worst,
         "worst_config": worst_config,
         "failures": failures,

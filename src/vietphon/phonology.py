@@ -107,7 +107,7 @@ GLIDE_IPAS = _ipa_set(PhonemeClass.GLIDE)
 VOWEL_IPAS = _ipa_set(PhonemeClass.VOWEL)
 FINAL_IPAS = _ipa_set(PhonemeClass.FINAL)
 
-#: finals that are stops; in strict mode they only combine with the two
+#: finals that are stops; validate lets them combine only with the two
 #: checked tones (standard Vietnamese phonotactics)
 STOP_FINALS = frozenset({"p", "t", "k", "c"})
 STOP_TONES = frozenset({Tone.MID_RAISING, Tone.MID_GLOTTALIZED_RAISING})
@@ -172,13 +172,13 @@ def _violations(fields) -> str:
     return "; ".join(problems)
 
 
-def validate(syllable: Syllable, strict: bool = False) -> list[str]:
-    """Violations of the stop-final tone restriction in strict mode; empty = ok, and always empty otherwise.
+def validate(syllable: Syllable) -> list[str]:
+    """Violations of the stop-final tone restriction; empty = ok.
 
     Syllable itself holds each component to the rule table.  The restriction
     holds for the bundled lexicon but is not part of the core rule listing.
     """
-    if strict and syllable.final in STOP_FINALS and syllable.tone not in STOP_TONES:
+    if syllable.final in STOP_FINALS and syllable.tone not in STOP_TONES:
         return ["stop-final tone: stop finals require MidRaising or MidGlottalizedRaising"]
     return []
 

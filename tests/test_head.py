@@ -13,7 +13,6 @@ from vietphon import head, vocab
 from vietphon.head import (
     HEADS,
     EmptySequence,
-    GradCheckReport,
     HeadConfig,
     HeadParams,
     IdOutOfRange,
@@ -278,14 +277,22 @@ class TestGradients:
     def test_analytic_matches_finite_differences(self):
         params, ids, targets = toy_batch(seed=0)
         report = grad_check(params, ids, targets)
-        assert report.passed, report.as_dict()
-        assert report.max_rel_err < 1e-4
+        assert report["passed"], report
+        assert report["max_rel_err"] < 1e-4
 
     def test_both_residual_modes(self):
+        params, ids, targets = toy_batch(seed=3)
         for residual in ("normalized", "input"):
-            params, ids, targets = toy_batch(seed=3, residual=residual)
             report = grad_check(params, ids, targets, residual=residual)
-            assert report.passed, (residual, report.max_rel_err)
+            assert report["passed"], (residual, report["max_rel_err"])
+
+    def test_pre_activations_do_not_depend_on_the_residual_mode(self):
+        # toy_batch picks configurations by their pre-activations, so it needs no residual mode
+        for seed in range(100):
+            params, ids, _ = toy_batch(seed)
+            layers = {residual: forward(params, ids, residual)[1][2] for residual in ("normalized", "input")}
+            for h in HEADS:
+                assert np.array_equal(layers["normalized"][h].u, layers["input"][h].u), (seed, h)
 
     def test_all_zero_parameters(self):
         drawn = init_params(HeadConfig(dim=3, v_init=4, v_rhyme=5))
@@ -293,13 +300,13 @@ class TestGradients:
         ids = [[0, 0, 0], [1, 2, 3]]
         targets = {"init": [0, 1], "rhyme": [2, 0], "tone": [5, 1]}
         report = grad_check(params, ids, targets)
-        assert report.passed, report.as_dict()
+        assert report["passed"], report
 
     def test_corrupted_gradient_fails(self):
         params, ids, targets = toy_batch(seed=1)
         report = grad_check(params, ids, targets, corrupt=("init.b_out", 0, 1e-2))
-        assert not report.passed
-        assert "init.b_out" in report.failures
+        assert not report["passed"]
+        assert "init.b_out" in report["failures"]
 
     def test_gradient_of_unused_embedding_row_is_zero(self):
         params, ids, targets = toy_batch(seed=2)
@@ -318,17 +325,21 @@ class TestGradients:
         new_loss, _ = sequence_loss(params, ids, targets)
         assert new_loss < loss
 
-    def test_suite_lists_each_failing_config(self):
-        summary = head.run_grad_suite(n_configs=2, tolerance=0.0)  # no error is below 0
-        assert not summary["passed"]
+    def test_suite_lists_each_failing_config(self, monkeypatch):
+        monkeypatch.setattr(head, "GRAD_TOLERANCE", 0.0)  # no error is below 0
+        summary = head.run_grad_suite(n_configs=2)
+        assert not summary["passed"] and summary["tolerance"] == 0.0
         assert summary["failures"] == [
-            {"config": k, "parameters": grad_check(*toy_batch(k), tolerance=0.0).failures} for k in (0, 1)
+            {"config": k, "parameters": grad_check(*toy_batch(k))["failures"]} for k in (0, 1)
         ]
 
     def test_report_dict_shape(self):
-        report = GradCheckReport(rows=(("fuse", 1e-7),), tolerance=1e-4)
-        payload = report.as_dict()
-        assert payload["passed"] and payload["max_rel_err"] == 1e-7
+        params, ids, targets = toy_batch(seed=0)
+        report = grad_check(params, ids, targets)
+        assert list(report) == ["max_rel_err", "tolerance", "passed", "failures", "rows"]
+        assert list(report["rows"]) == list(params.arrays)
+        assert report["max_rel_err"] == max(report["rows"].values())
+        assert report["tolerance"] == head.GRAD_TOLERANCE and report["passed"] and report["failures"] == []
 
     def test_grads_reject_what_the_loss_rejects(self):
         params, ids, targets = toy_batch(seed=0)
@@ -345,7 +356,7 @@ class TestGradients:
     def test_grads_total_is_the_loss(self):
         for residual in ("normalized", "input"):
             for seed in range(10):
-                params, ids, targets = toy_batch(seed, residual)
+                params, ids, targets = toy_batch(seed)
                 loss, _ = sequence_loss(params, ids, targets, residual)
                 total, _, _ = sequence_grads(params, ids, targets, residual)
                 assert total == loss, (residual, seed)
@@ -360,12 +371,12 @@ class TestGradients:
         assert worst < 1e-6
 
 
-def reference_finite_difference_grads(params, prev_ids, targets, residual="normalized", step=1e-5):
-    """Central differences one entry at a time, deliberately loop-based.
+def reference_finite_difference_grads(params, prev_ids, targets, residual="normalized"):
+    """Central differences one entry at a time at head.FD_STEP, deliberately loop-based.
 
     Perturbs the caller's arrays in place and restores every entry it touched.
     """
-    grads = {}
+    step, grads = head.FD_STEP, {}
     for name, array in params.arrays.items():
         grad = np.zeros_like(array)
         flat = array.reshape(-1)
@@ -409,7 +420,7 @@ class TestBatchedFiniteDifferences:
     @pytest.mark.parametrize("residual", ["normalized", "input"])
     def test_equals_the_per_entry_loop(self, residual):
         for seed in range(20):
-            params, ids, targets = toy_batch(seed, residual)
+            params, ids, targets = toy_batch(seed)
             got = finite_difference_grads(params, ids, targets, residual)
             want = reference_finite_difference_grads(params, ids, targets, residual)
             assert got.keys() == want.keys()
@@ -420,8 +431,9 @@ class TestBatchedFiniteDifferences:
     def test_rows_raise_then_lower_one_entry_each(self, chunk_floats, monkeypatch):
         params, ids, targets = toy_batch(seed=7)
         monkeypatch.setattr(head, "FD_CHUNK_FLOATS", chunk_floats)
+        monkeypatch.setattr(head, "FD_STEP", 0.25)
         calls = loss_calls(monkeypatch)
-        finite_difference_grads(params, ids, targets, step=0.25)
+        finite_difference_grads(params, ids, targets)
         done = {}  # pack -> entries perturbed so far
         for variants in calls:
             pack = tuple(name for name, array in variants.arrays.items() if array.ndim > params[name].ndim)
@@ -456,7 +468,7 @@ class TestBatchedFiniteDifferences:
     @pytest.mark.parametrize("chunk_floats", [1, 100, 8_000, 150_000])
     def test_chunks_give_the_one_chunk_result(self, chunk_floats, monkeypatch):
         for residual in ("normalized", "input"):
-            params, ids, targets = toy_batch(seed=7, residual=residual)
+            params, ids, targets = toy_batch(seed=7)
             whole = finite_difference_grads(params, ids, targets, residual)
             monkeypatch.setattr(head, "FD_CHUNK_FLOATS", chunk_floats)
             calls = loss_calls(monkeypatch)
@@ -522,7 +534,7 @@ class TestBatchedForward:
            names=st.sets(st.sampled_from(PARAM_NAMES), min_size=1, max_size=4),
            residual=st.sampled_from(["normalized", "input"]))
     def test_rows_equal_unbatched_calls(self, seed, count, names, residual):
-        params, ids, targets = toy_batch(seed, residual)
+        params, ids, targets = toy_batch(seed)
         batched, rows = variants(params, names, count, seed)
         totals, per_head = sequence_loss(batched, ids, targets, residual)
         assert totals.shape == (count,)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vietphon.phonology import (
@@ -158,17 +158,16 @@ class TestSyllable:
 
     def test_valid_kiem(self):
         s = Syllable(initial="k", vowel="ie", final="m", tone=Tone.MID_GLOTTALIZED_RAISING)
-        assert validate(s, strict=True) == []
+        assert validate(s) == []
 
     def test_stop_final_tone_strict_only(self):
         s = Syllable(vowel="a", final="p", tone=Tone.LOW_FALLING)
-        assert validate(s, strict=False) == []
-        problems = validate(s, strict=True)
+        problems = validate(s)
         assert len(problems) == 1 and "stop-final tone" in problems[0]
 
     def test_stop_final_allowed_tones(self):
         for tone in (Tone.MID_RAISING, Tone.MID_GLOTTALIZED_RAISING):
-            assert validate(Syllable(vowel="a", final="t", tone=tone), strict=True) == []
+            assert validate(Syllable(vowel="a", final="t", tone=tone)) == []
 
     def test_unknown_components_named(self):
         with pytest.raises(ValueError, match="^unknown initial: 'w'; unknown tone: 'Flat'$"):
@@ -179,11 +178,9 @@ class TestSyllable:
         with pytest.raises(ValueError, match=f"^unknown {component}: 'w'$"):
             Syllable(**{"vowel": "a", component: "w"})
 
-    def test_non_strict_validate_passes_every_syllable(self, component_syllables):
-        assert not any(validate(s) for s in component_syllables)
-
     @settings(max_examples=500, deadline=None)
     @given(fields=st.fixed_dictionaries(FIELD_VALUES))
+    @example(fields={"vowel": "u̯", "initial": "b", "glide": "; ", "final": "u̯", "tone": "u̯"})
     def test_construction_checks_each_field_against_the_rule_table(self, fields):
         bad = [name for name in Syllable._fields if not _in_table(name, fields[name])]  # in message order
         for build in (lambda: Syllable(**fields), lambda: Syllable(vowel="a")._replace(**fields)):
@@ -192,11 +189,10 @@ class TestSyllable:
                 continue
             with pytest.raises(ValueError) as raised:
                 build()
-            problems = str(raised.value).split("; ")
-            assert len(problems) == len(bad)
-            for name, problem in zip(bad, problems):
-                missing = name == "vowel" and not fields["vowel"]
-                assert problem.startswith("missing nucleus" if missing else f"unknown {name}: "), problem
+            # a drawn text field may itself hold "; ", so the whole message is compared
+            assert str(raised.value) == "; ".join(
+                "missing nucleus: a syllable requires a vowel" if name == "vowel" and not fields["vowel"]
+                else f"unknown {name}: {fields[name]!r}" for name in bad)
 
 
 

@@ -12,7 +12,10 @@ of what src/vietphon defines; a use under tests/ does not count.
   self or cls not counted), or through a ``*`` or ``**`` argument.  Calls
   are matched by the called name alone (a method by its attribute name,
   ``__init__`` by its class name), so functions of one name share their
-  calls; other dunder methods are exempt.
+  calls; other dunder methods are exempt.  Nor may every call pass it the
+  same constant: one value in use is a constant, not a parameter.  An
+  argument that is not an ``ast.Constant``, ``*`` and ``**`` included,
+  counts as a second value.
 - Dataclass fields and ``property``/``cached_property`` members.  Each one
   of a package class must be read by some attribute load in the readers,
   matched by attribute name alone.  A write, ``+=`` included, is not a
@@ -45,8 +48,6 @@ ALLOWED = {
     "edit_distance": "criterion 4 compares its S/D/I split with the brute-force oracle",
     "parse_syllable(stats=)": "criterion 9 counts each lexicon word's rule comparisons through it",
     "grad_check(corrupt=)": "criterion 6 checks that a corrupted gradient fails the check",
-    "run_grad_suite(step=)": "criterion 6 states the finite-difference step it runs at",
-    "run_grad_suite(tolerance=)": "criterion 6 states the relative-error tolerance it passes at",
     "ParseResult.graphemes": "criterion 2 compares each golden word's matched written forms",
 }
 
@@ -151,14 +152,37 @@ def _called_name(call: ast.Call):
     return call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
 
 
-def _never_passed():
-    """(key, place) of every defaulted parameter that no call in the readers passes."""
+@functools.cache
+def _reader_calls() -> dict[str, list]:
+    """Called name -> every call in the readers by that name."""
     calls: dict[str, list] = {}
     for node in _reader_nodes():
         if isinstance(node, ast.Call):
             calls.setdefault(_called_name(node), []).append(node)
+    return calls
+
+
+def _never_passed():
+    """(key, place) of every defaulted parameter that no call in the readers passes."""
     for name, parameter, position, path, line in _defaulted_parameters():
-        if not any(_passes(call, parameter, position) for call in calls.get(name, ())):
+        if not any(_passes(call, parameter, position) for call in _reader_calls().get(name, ())):
+            yield f"{name}({parameter}=)", f"{path.relative_to(ROOT)}:{line}"
+
+
+def _passed_constant(call: ast.Call, parameter: str, position: int | None):
+    """(type, value) of the constant a call passes for a parameter; None for any other argument, or none."""
+    argument = next((kw.value for kw in call.keywords if kw.arg == parameter), None)
+    if (argument is None and position is not None and len(call.args) > position
+            and not any(isinstance(arg, ast.Starred) for arg in call.args[:position + 1])):
+        argument = call.args[position]
+    return (type(argument.value), argument.value) if isinstance(argument, ast.Constant) else None
+
+
+def _one_valued():
+    """(key, place) of every defaulted parameter that every call in the readers passes, each the same constant."""
+    for name, parameter, position, path, line in _defaulted_parameters():
+        values = {_passed_constant(call, parameter, position) for call in _reader_calls().get(name, ())}
+        if len(values) == 1 and None not in values:
             yield f"{name}({parameter}=)", f"{path.relative_to(ROOT)}:{line}"
 
 
@@ -186,12 +210,16 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
     assert sorted(f"{place}: {key}" for key, place in _never_passed() if key not in ALLOWED) == []
 
 
+def test_no_defaulted_parameter_takes_one_constant_outside_the_tests():
+    assert sorted(f"{place}: {key}" for key, place in _one_valued() if key not in ALLOWED) == []
+
+
 def test_every_field_and_property_is_read_outside_the_tests():
     assert sorted(f"{place}: {key}" for key, place in _unread_attributes() if key not in ALLOWED) == []
 
 
 def test_every_allowed_hook_is_still_unused_outside_the_tests():
-    found = {key for key, _ in (*_unreached(), *_never_passed(), *_unread_attributes())}
+    found = {key for key, _ in (*_unreached(), *_never_passed(), *_one_valued(), *_unread_attributes())}
     assert sorted(set(ALLOWED) - found) == []
 
 
