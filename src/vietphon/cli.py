@@ -204,14 +204,13 @@ def _cmd_filter(args) -> int:
     # kept is listed last so that it is written first: on one shared stdout it leads
     _write_records([(path, chosen) for path, chosen in ((args.discard_file, discarded), (args.output, kept))
                     if path])
-    payload = stats.as_dict()
     if args.expected_stats:
-        payload["reference"] = {
+        stats["reference"] = {
             "dataset": args.expected_stats,
             "percent": corpus.REFERENCE_CONTAMINATION[args.expected_stats],
             "note": "informative comparison only; verdicts here are parse-based",
         }
-    print(json.dumps(payload, ensure_ascii=False, indent=2))
+    print(json.dumps(stats, ensure_ascii=False, indent=2))
     return 0
 
 

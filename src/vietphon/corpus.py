@@ -124,41 +124,25 @@ def load_manifest(lines) -> list[TranscriptRecord]:
     return records
 
 
-@dataclass(frozen=True)
-class SplitStats:
-    total: int
-    flagged: int
-
-    @property
-    def percent(self) -> float:
-        return 100.0 * self.flagged / self.total if self.total else 0.0
-
-
-@dataclass(frozen=True)
-class CorpusStats:
-    splits: dict[str, SplitStats]
-    overall: SplitStats
-
-    def as_dict(self) -> dict:
-        def row(s: SplitStats) -> dict:
-            return {"total": s.total, "flagged": s.flagged, "percent": s.percent}
-
-        return {
-            "splits": {name: row(s) for name, s in sorted(self.splits.items())},
-            "overall": row(self.overall),
-        }
-
-
 def filter_manifest(records: list[TranscriptRecord]):
-    """Partition records into (kept, discarded, stats); sets each record's offending words."""
+    """Partition records into (kept, discarded, stats); sets each record's offending words.
+
+    stats is the dict that ``vietphon filter`` prints: {"splits": {name: row, ...}
+    in name order, "overall": row}, each row {"total", "flagged", "percent"}
+    with percent = 100 * flagged / total (0.0 for no records).  A record with
+    an absent or empty split counts under "(unsplit)".
+    """
     kept, discarded = [], []
     for record in records:
         record.offending = offending_words(record.transcript)
         (discarded if record.offending else kept).append(record)
     totals = Counter(record.split or "(unsplit)" for record in records)
-    flagged = Counter(record.split or "(unsplit)" for record in discarded)
-    stats = CorpusStats(
-        splits={name: SplitStats(total, flagged[name]) for name, total in totals.items()},
-        overall=SplitStats(len(records), len(discarded)),
-    )
-    return kept, discarded, stats
+    discards = Counter(record.split or "(unsplit)" for record in discarded)
+
+    def row(total: int, flagged: int) -> dict:
+        return {"total": total, "flagged": flagged, "percent": 100.0 * flagged / total if total else 0.0}
+
+    return kept, discarded, {
+        "splits": {name: row(total, discards[name]) for name, total in sorted(totals.items())},
+        "overall": row(len(records), len(discarded)),
+    }

@@ -382,19 +382,12 @@ def finite_difference_grads(params: HeadParams, prev_ids, targets, residual: str
 REL_ERR_FLOOR = 1e-6
 
 
-def grad_check(params: HeadParams, prev_ids, targets, residual: str = "normalized",
-               corrupt: tuple[str, int, float] | None = None) -> dict:
+def grad_check(params: HeadParams, prev_ids, targets, residual: str = "normalized") -> dict:
     """Analytic vs central-difference gradients, per parameter array, as a JSON-ready dict;
     ``rows`` maps each array name to its max relative error, and ``failures`` lists
     the arrays at or above GRAD_TOLERANCE.
-
-    ``corrupt`` injects an offset into one analytic partial (name, flat index,
-    delta) and exists as a negative control: the report must then fail.
     """
     _, _, analytic = sequence_grads(params, prev_ids, targets, residual)
-    if corrupt is not None:
-        name, index, delta = corrupt
-        analytic[name].reshape(-1)[index] += delta
     numeric = finite_difference_grads(params, prev_ids, targets, residual)
     rows = {}
     for name in params.arrays:

@@ -112,10 +112,6 @@ class Vocabulary:
         """The (name, tokens) pair of each space, in initial, rhyme, tone order."""
         return tuple(zip(("initial", "rhyme", "tone"), (self.initial_tokens, self.rhyme_tokens, self.tone_tokens)))
 
-    @property
-    def content_counts(self) -> dict[str, int]:
-        return {f"{name}s": len(tokens) - len(CONTROL_TOKENS) for name, tokens in self.spaces}
-
 
 def build_vocab(lexicon: list[str] | None = None) -> Vocabulary:
     """Token spaces from the rule table plus rhymes observed in a lexicon.
@@ -145,7 +141,7 @@ def vocab_report(vocab: Vocabulary) -> dict:
     totals are reported with and without it so the comparison against the
     design counts is explicit.
     """
-    counts = vocab.content_counts
+    counts = {f"{name}s": len(tokens) - len(CONTROL_TOKENS) for name, tokens in vocab.spaces}
     computed_core_initials = counts["initials"] - 1  # minus the ∅ extension
     computed_total = computed_core_initials + counts["rhymes"] + counts["tones"]
     design_sum = DESIGN_COUNTS["initials"] + DESIGN_COUNTS["rhymes"] + DESIGN_COUNTS["tones"]

@@ -5,6 +5,7 @@ import unicodedata
 import pytest
 from hypothesis import strategies as st
 
+from vietphon import head
 from vietphon.lexicon import load_lexicon
 from vietphon.phonology import FINAL_IPAS, GLIDE_IPAS, INITIAL_IPAS, TONE_BY_MARK, VOWEL_IPAS, Syllable, Tone
 from vietphon.tokenizer import render_syllable
@@ -15,6 +16,25 @@ DATA_DIR = pathlib.Path(__file__).parent / "data"
 @pytest.fixture(scope="session")
 def lexicon():
     return load_lexicon()
+
+
+@pytest.fixture
+def corrupt_gradient(monkeypatch):
+    """A negative control for grad_check: corrupt(name, index, delta) makes
+    head.sequence_grads add delta to flat entry index of the exact gradient of
+    array name.  Each call replaces the last; the exact function returns after the test.
+    """
+    exact = head.sequence_grads
+
+    def corrupt(name: str, index: int, delta: float) -> None:
+        def corrupted(*args, **kwargs):
+            total, per_head, grads = exact(*args, **kwargs)
+            grads[name].reshape(-1)[index] += delta
+            return total, per_head, grads
+
+        monkeypatch.setattr(head, "sequence_grads", corrupted)
+
+    return corrupt
 
 
 @pytest.fixture(scope="session")

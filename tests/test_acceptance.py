@@ -97,7 +97,7 @@ def test_criterion_5_per_decomposition():
     report(5, "tone-only pair isolates PER-t; aggregate PER is the exact weighted mean")
 
 
-def test_criterion_6_gradient_verification():
+def test_criterion_6_gradient_verification(corrupt_gradient):
     start = time.perf_counter()
     summary = run_grad_suite(n_configs=100, base_seed=0)
     elapsed = time.perf_counter() - start
@@ -107,7 +107,8 @@ def test_criterion_6_gradient_verification():
     assert elapsed < 60.0, f"gradient suite took {elapsed:.1f}s"
 
     params, ids, targets = toy_batch(seed=7)
-    control = grad_check(params, ids, targets, corrupt=("rhyme.w_up", 0, 1e-2))
+    corrupt_gradient("rhyme.w_up", 0, 1e-2)
+    control = grad_check(params, ids, targets)
     assert not control["passed"]
     report(6, f"100 configs, max rel err {summary['max_rel_err']:.2e} in {elapsed:.1f}s; "
               f"corrupted control fails")
@@ -140,12 +141,12 @@ def test_criterion_8_corpus_filtering():
     rows.append({"id": "u9", "transcript": "ba mẹ okay", "split": "train"})
     records = load_manifest(json.dumps(r) for r in rows)
     kept, discarded, stats = filter_manifest(records)
-    assert stats.overall.percent == 10.0
+    assert stats["overall"]["percent"] == 10.0
     assert len(discarded) == 1
 
     kept_again, discarded_again, stats_again = filter_manifest(kept)
     assert kept_again == kept and not discarded_again
-    assert stats_again.overall.flagged == 0
+    assert stats_again["overall"]["flagged"] == 0
 
     # reference percentages available for the informative dataset comparison
     assert REFERENCE_CONTAMINATION["vivos"]["overall"] == 0.70

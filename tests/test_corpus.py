@@ -1,4 +1,5 @@
 import json
+import pathlib
 from unittest import mock
 
 import pytest
@@ -14,6 +15,8 @@ from vietphon.corpus import (
     load_manifest,
     offending_words,
 )
+
+MANIFEST = pathlib.Path(__file__).parent / "data" / "cli" / "in" / "manifest.jsonl"
 
 
 class TestCleanWords:
@@ -144,19 +147,19 @@ class TestManifest:
         records = load_manifest(lines)
         assert [record.to_json() for record in records] == lines
         _, _, stats = filter_manifest(records)
-        assert stats.as_dict()["splits"] == {"(unsplit)": {"total": 2, "flagged": 0, "percent": 0.0}}
+        assert stats["splits"] == {"(unsplit)": {"total": 2, "flagged": 0, "percent": 0.0}}
 
     def test_all_vietnamese_discards_nothing(self, lexicon):
         records = load_manifest(self._lines([" ".join(lexicon[:5])] * 4))
         kept, discarded, stats = filter_manifest(records)
         assert len(kept) == 4 and not discarded
-        assert stats.overall.percent == 0.0
+        assert stats["overall"]["percent"] == 0.0
 
     def test_one_in_ten_contaminated(self):
         transcripts = ["ba mẹ ăn cơm"] * 9 + ["ba mẹ okay"]
         kept, discarded, stats = filter_manifest(load_manifest(self._lines(transcripts)))
         assert len(kept) == 9 and len(discarded) == 1
-        assert stats.overall.percent == pytest.approx(10.0)
+        assert stats["overall"]["percent"] == pytest.approx(10.0)
         assert discarded[0].offending == ["okay"]
 
     def test_discarded_iff_offending_nonempty(self):
@@ -172,7 +175,7 @@ class TestManifest:
     def test_stale_offending_list_is_not_copied_through(self):
         line = '{"id": "u1", "transcript": "ba mẹ", "split": "train", "non_vietnamese_words": ["okay"]}'
         kept, discarded, stats = filter_manifest(load_manifest([line]))
-        assert len(kept) == 1 and not discarded and stats.overall.flagged == 0
+        assert len(kept) == 1 and not discarded and stats["overall"]["flagged"] == 0
         assert json.loads(kept[0].to_json()) == {"id": "u1", "transcript": "ba mẹ", "split": "train"}
 
     def test_still_foreign_record_gets_its_new_list_last(self):
@@ -187,7 +190,7 @@ class TestManifest:
         kept, _, _ = filter_manifest(load_manifest(self._lines(transcripts)))
         kept_again, discarded_again, stats = filter_manifest(kept)
         assert kept_again == kept and not discarded_again
-        assert stats.overall.flagged == 0
+        assert stats["overall"]["flagged"] == 0
 
     def test_per_split_stats(self):
         lines = (
@@ -195,21 +198,50 @@ class TestManifest:
             + self._lines(["ba mẹ"], split="dev")
             + self._lines(["ba", "ba", "okay ba"], split="test")
         )
-        _, _, stats = filter_manifest(load_manifest(lines))
-        table = stats.as_dict()
+        _, _, table = filter_manifest(load_manifest(lines))
         assert table["splits"]["train"] == {"total": 2, "flagged": 1, "percent": 50.0}
         assert table["splits"]["dev"]["flagged"] == 0
         assert table["splits"]["test"]["percent"] == pytest.approx(100 / 3)
         assert table["overall"] == {"total": 6, "flagged": 2, "percent": pytest.approx(100 / 3)}
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([None, "", "train", "dev", "test"]), st.booleans()), min_size=1))
+    def test_split_rows_add_up_to_the_overall_row(self, drawn):
+        """Each record is (split, foreign); a None split is absent from its manifest line."""
+        transcripts = {False: "ba mẹ ăn cơm", True: "ba mẹ okay"}
+        lines = [json.dumps({"id": f"u{i}", "transcript": transcripts[foreign]}
+                            | ({} if split is None else {"split": split}), ensure_ascii=False)
+                 for i, (split, foreign) in enumerate(drawn)]
+        _, _, stats = filter_manifest(load_manifest(lines))
+        keys = ["(unsplit)" if split in (None, "") else split for split, _ in drawn]
+        rows = stats["splits"]
+        assert list(rows) == sorted(set(keys))
+        for name, row in rows.items():
+            assert row["total"] == keys.count(name)
+            assert row["flagged"] == sum(foreign for key, (_, foreign) in zip(keys, drawn) if key == name)
+        overall = stats["overall"]
+        assert overall["total"] == sum(row["total"] for row in rows.values())
+        assert overall["flagged"] == sum(row["flagged"] for row in rows.values())
+        for row in (*rows.values(), overall):
+            assert row["percent"] == 100.0 * row["flagged"] / row["total"]
+
     def test_overall_is_record_weighted_aggregate(self):
         lines = self._lines(["ba"] * 3 + ["zz"], split="train") + self._lines(["zz"], split="test")
         _, _, stats = filter_manifest(load_manifest(lines))
-        total = sum(s.total for s in stats.splits.values())
-        flagged = sum(s.flagged for s in stats.splits.values())
-        assert stats.overall.total == total
-        assert stats.overall.flagged == flagged
-        assert stats.overall.percent == 100.0 * flagged / total
+        total = sum(row["total"] for row in stats["splits"].values())
+        flagged = sum(row["flagged"] for row in stats["splits"].values())
+        assert stats["overall"]["total"] == total
+        assert stats["overall"]["flagged"] == flagged
+        assert stats["overall"]["percent"] == 100.0 * flagged / total
+
+    def test_cli_prints_the_stats_filter_manifest_returns(self, capsys):
+        _, _, stats = filter_manifest(load_manifest(MANIFEST.read_text("utf-8").splitlines()))
+        assert cli.main(["filter", str(MANIFEST)]) == 0
+        assert json.loads(capsys.readouterr().out) == stats
+        assert cli.main(["filter", str(MANIFEST), "--expected-stats", "vivos"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed.pop("reference")["dataset"] == "vivos"
+        assert printed == stats
 
     def test_verdict_order_independent(self):
         words = ["ba", "hello", "mẹ", "ăn"]

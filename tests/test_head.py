@@ -302,11 +302,20 @@ class TestGradients:
         report = grad_check(params, ids, targets)
         assert report["passed"], report
 
-    def test_corrupted_gradient_fails(self):
+    def test_corrupted_gradient_fails(self, corrupt_gradient):
         params, ids, targets = toy_batch(seed=1)
-        report = grad_check(params, ids, targets, corrupt=("init.b_out", 0, 1e-2))
+        corrupt_gradient("init.b_out", 0, 1e-2)
+        report = grad_check(params, ids, targets)
         assert not report["passed"]
         assert "init.b_out" in report["failures"]
+
+    def test_a_corrupted_partial_fails_its_array_alone(self, corrupt_gradient):
+        for seed in range(10):
+            params, ids, targets = toy_batch(seed)
+            assert len(params.arrays) == 22
+            for name in params.arrays:
+                corrupt_gradient(name, 0, 1e-2)
+                assert grad_check(params, ids, targets)["failures"] == [name], (seed, name)
 
     def test_gradient_of_unused_embedding_row_is_zero(self):
         params, ids, targets = toy_batch(seed=2)

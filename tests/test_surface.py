@@ -8,14 +8,17 @@ of what src/vietphon defines; a use under tests/ does not count.
   as a NAME token in the readers somewhere other than its own definition.
   The package's __init__.py is not a reader here: a re-export is not a use.
 - Parameters with a default.  Each one of a package function must be
-  passed by some call in the readers: by keyword, by position (a method's
-  self or cls not counted), or through a ``*`` or ``**`` argument.  Calls
+  passed by some call in the readers: by keyword, through a ``**``
+  argument, or by position (a method's self or cls not counted).  A
+  positional parameter is passed only by an argument at its position with
+  no ``*`` argument at or before that position; what a starred sequence
+  holds is unknown, so ``f(*a, b)`` passes no parameter by position.  Calls
   are matched by the called name alone (a method by its attribute name,
   ``__init__`` by its class name), so functions of one name share their
   calls; other dunder methods are exempt.  Nor may every call pass it the
-  same constant: one value in use is a constant, not a parameter.  An
-  argument that is not an ``ast.Constant``, ``*`` and ``**`` included,
-  counts as a second value.
+  same constant: one value in use is a constant, not a parameter.  A call
+  that passes it anything but an ``ast.Constant``, passes it only through
+  ``**``, or does not pass it, counts as a second value.
 - Dataclass fields and ``property``/``cached_property`` members.  Each one
   of a package class must be read by some attribute load in the readers,
   matched by attribute name alone.  A write, ``+=`` included, is not a
@@ -47,7 +50,6 @@ READERS = ("src", "tools", "perfbench")
 ALLOWED = {
     "edit_distance": "criterion 4 compares its S/D/I split with the brute-force oracle",
     "parse_syllable(stats=)": "criterion 9 counts each lexicon word's rule comparisons through it",
-    "grad_check(corrupt=)": "criterion 6 checks that a corrupted gradient fails the check",
     "ParseResult.graphemes": "criterion 2 compares each golden word's matched written forms",
 }
 
@@ -140,12 +142,18 @@ def _defaulted_parameters():
                 yield name, arg.arg, None, path, arg.lineno
 
 
+def _positional_argument(call: ast.Call, position: int | None):
+    """The argument a call writes at a position; None past its arguments or behind a * argument."""
+    if (position is None or len(call.args) <= position
+            or any(isinstance(arg, ast.Starred) for arg in call.args[:position + 1])):
+        return None
+    return call.args[position]
+
+
 def _passes(call: ast.Call, parameter: str, position: int | None) -> bool:
-    """Whether a call passes a parameter: by keyword, by position, or through * or **."""
-    if any(kw.arg in (None, parameter) for kw in call.keywords):
-        return True
-    return position is not None and (len(call.args) > position
-                                     or any(isinstance(arg, ast.Starred) for arg in call.args))
+    """Whether a call passes a parameter: by keyword, through **, or by an argument at its position."""
+    return (any(kw.arg in (None, parameter) for kw in call.keywords)
+            or _positional_argument(call, position) is not None)
 
 
 def _called_name(call: ast.Call):
@@ -172,9 +180,8 @@ def _never_passed():
 def _passed_constant(call: ast.Call, parameter: str, position: int | None):
     """(type, value) of the constant a call passes for a parameter; None for any other argument, or none."""
     argument = next((kw.value for kw in call.keywords if kw.arg == parameter), None)
-    if (argument is None and position is not None and len(call.args) > position
-            and not any(isinstance(arg, ast.Starred) for arg in call.args[:position + 1])):
-        argument = call.args[position]
+    if argument is None:
+        argument = _positional_argument(call, position)
     return (type(argument.value), argument.value) if isinstance(argument, ast.Constant) else None
 
 
@@ -184,6 +191,20 @@ def _one_valued():
         values = {_passed_constant(call, parameter, position) for call in _reader_calls().get(name, ())}
         if len(values) == 1 and None not in values:
             yield f"{name}({parameter}=)", f"{path.relative_to(ROOT)}:{line}"
+
+
+def test_passes_reads_star_and_double_star_arguments():
+    def call(source):
+        return ast.parse(source, mode="eval").body
+
+    assert not _passes(call("f(*a, b)"), "x", 4)
+    assert not _passes(call("f(*a, b)"), "x", 1)
+    assert _passes(call("f(a, b)"), "x", 1)
+    assert _passes(call("f(a, *b)"), "x", 0)
+    assert _passes(call("f(**k)"), "x", None)
+    assert _passes(call("f(x=1)"), "x", None)
+    assert _passes(call("f(**k)"), "x", 0) and _passes(call("f(x=1)"), "x", 0)
+    assert not _passes(call("f(y=1)"), "x", None)
 
 
 def _unread_attributes():

@@ -41,10 +41,10 @@ def vocab(lexicon):
 
 class TestSpaces:
     def test_tone_space_is_six(self, vocab):
-        assert vocab.content_counts["tones"] == 6
+        assert vocab_report(vocab)["computed"]["tones"] == 6
 
     def test_initial_space_is_22_plus_empty(self, vocab):
-        assert vocab.content_counts["initials"] == 23
+        assert vocab_report(vocab)["computed"]["initials_with_empty"] == 23
         assert "∅" in vocab.initial_tokens
 
     def test_control_tokens_per_space(self, vocab):
