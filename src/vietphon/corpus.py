@@ -35,6 +35,10 @@ REFERENCE_CONTAMINATION = {
 }
 
 
+#: the stats row of records with an absent or empty split; no record may name it
+UNSPLIT = "(unsplit)"
+
+
 class MalformedManifestLine(ValueError):
     def __init__(self, line_number: int, reason: str):
         super().__init__(f"manifest line {line_number}: {reason}")
@@ -106,6 +110,8 @@ def parse_manifest_line(line: str, line_number: int) -> TranscriptRecord:
     for key in ("id", "transcript", "split"):
         if not isinstance(payload.get(key, ""), str):
             raise MalformedManifestLine(line_number, f"field {key!r} must be a string")
+    if payload.get("split") == UNSPLIT:
+        raise MalformedManifestLine(line_number, f"split {UNSPLIT!r} is reserved for records without a split")
     payload.pop("non_vietnamese_words", None)
     return TranscriptRecord(
         utterance_id=payload.pop("id"),
@@ -130,14 +136,15 @@ def filter_manifest(records: list[TranscriptRecord]):
     stats is the dict that ``vietphon filter`` prints: {"splits": {name: row, ...}
     in name order, "overall": row}, each row {"total", "flagged", "percent"}
     with percent = 100 * flagged / total (0.0 for no records).  A record with
-    an absent or empty split counts under "(unsplit)".
+    an absent or empty split counts under UNSPLIT, which parse_manifest_line
+    refuses as a split name.
     """
     kept, discarded = [], []
     for record in records:
         record.offending = offending_words(record.transcript)
         (discarded if record.offending else kept).append(record)
-    totals = Counter(record.split or "(unsplit)" for record in records)
-    discards = Counter(record.split or "(unsplit)" for record in discarded)
+    totals = Counter(record.split or UNSPLIT for record in records)
+    discards = Counter(record.split or UNSPLIT for record in discarded)
 
     def row(total: int, flagged: int) -> dict:
         return {"total": total, "flagged": flagged, "percent": 100.0 * flagged / total if total else 0.0}

@@ -24,7 +24,12 @@ chunk, and only an array alone in its pack is split into several.
 numpy is imported on the first read of an ``np`` attribute, not with this
 module.  ``cli`` imports this module at its top, and perfbench's tracer finds
 it in ``sys.modules`` to patch it; but only ``demo-head`` needs numpy, so the
-text pipelines never load it.
+text pipelines never load it.  numpy is the only import beyond the standard
+library; nothing comes from the rest of the package.
+
+Bad input raises ValueError, and an id outside its head's vocabulary raises
+IndexError; the message says which check fired.  A parameter file line that
+does not read raises MalformedParamLine, a ValueError with the line number.
 """
 
 from __future__ import annotations
@@ -33,8 +38,6 @@ import dataclasses
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass
-
-from .vocab import IdOutOfRange
 
 
 class _Numpy:
@@ -62,26 +65,6 @@ FD_CHUNK_FLOATS = 1 << 20
 FD_STEP = 1e-5
 #: grad_check passes when every array's max relative error is below this, read on each call
 GRAD_TOLERANCE = 1e-4
-
-
-class NonFiniteInput(ValueError):
-    pass
-
-
-class ShapeMismatch(ValueError):
-    pass
-
-
-class LengthMismatch(ValueError):
-    pass
-
-
-class NonIntegerIds(ValueError):
-    pass
-
-
-class EmptySequence(ValueError):
-    pass
 
 
 class MalformedParamLine(ValueError):
@@ -138,9 +121,9 @@ def _param_shapes(config: HeadConfig) -> dict[str, tuple[int, ...]]:
 def _assemble(config: HeadConfig, arrays: dict[str, np.ndarray]) -> HeadParams:
     """HeadParams from named arrays of the shapes _param_shapes gives, none missing."""
     if config.dim < 1:
-        raise ShapeMismatch(f"model dim must be at least 1, got {config.dim}")
+        raise ValueError(f"model dim must be at least 1, got {config.dim}")
     if config.v_tone != TONE_SPACE:
-        raise ShapeMismatch(f"tone vocabulary must be {TONE_SPACE}, got {config.v_tone}")
+        raise ValueError(f"tone vocabulary must be {TONE_SPACE}, got {config.v_tone}")
     shapes = _param_shapes(config)
     for name in shapes:
         if name not in arrays:
@@ -164,10 +147,10 @@ def _integers(values, what: str):
     and so is a list with a bool among its ints, which numpy would read as ints."""
     array = np.asarray(values)
     if array.size and array.dtype.kind not in "iu":
-        raise NonIntegerIds(f"{what} must be integers, got {array.dtype}")
+        raise ValueError(f"{what} must be integers, got {array.dtype}")
     if array.size and not isinstance(values, np.ndarray) and any(
             isinstance(value, (bool, np.bool_)) for value in np.asarray(values, object).flat):
-        raise NonIntegerIds(f"{what} must be integers, got a bool among them")
+        raise ValueError(f"{what} must be integers, got a bool among them")
     return np.asarray(array, int)
 
 
@@ -221,21 +204,21 @@ def forward(params: HeadParams, prev_ids, residual: str = "normalized"):
     """
     ids = np.atleast_2d(_integers(prev_ids, "ids of init, rhyme and tone"))
     if ids.shape[-1] != 3:
-        raise ShapeMismatch(f"expected id triples, got shape {ids.shape}")
+        raise ValueError(f"expected id triples, got shape {ids.shape}")
     for column, head in enumerate(HEADS):
         v = params.config.vocab_sizes[head]
         bad = ids[:, column][(ids[:, column] < 0) | (ids[:, column] >= v)]
         if bad.size:
-            raise IdOutOfRange(head, int(bad[0]), v)
+            raise IndexError(f"{head} id {int(bad[0])} out of range [0, {v})")
     rows = [np.take(params[f"embed.{head}"], ids[:, column], axis=-2) for column, head in enumerate(HEADS)]
     x_cat = np.concatenate(np.broadcast_arrays(*rows), axis=-1)
     f_dec = x_cat @ params["fuse"]
     if not np.all(np.isfinite(f_dec)):
-        raise NonFiniteInput("non-finite values in FFN input")
+        raise ValueError("non-finite values in FFN input")
     if residual not in ("normalized", "input"):
         raise ValueError(f"unknown residual mode: {residual!r}")
     if f_dec.shape[-1] != params.config.dim:
-        raise ShapeMismatch(f"feature dim {f_dec.shape[-1]} != model dim {params.config.dim}")
+        raise ValueError(f"feature dim {f_dec.shape[-1]} != model dim {params.config.dim}")
     logits, layers = {}, {}
     for head in HEADS:
         layers[head] = _ffn(f_dec, params[f"{head}.ln_gain"], params[f"{head}.ln_bias"],
@@ -258,15 +241,15 @@ def composite_loss(logits: dict[str, np.ndarray], targets: dict[str, np.ndarray]
     """
     lengths = {head: len(np.atleast_1d(targets[head])) for head in HEADS}
     if len(set(lengths.values())) != 1:
-        raise LengthMismatch(f"target lengths differ across heads: {lengths}")
+        raise ValueError(f"target lengths differ across heads: {lengths}")
     if not lengths["init"]:
-        raise EmptySequence("no targets: the mean cross entropy of an empty sequence is undefined")
+        raise ValueError("no targets: the mean cross entropy of an empty sequence is undefined")
     per_head = {}
     for head in HEADS:
         z = np.atleast_2d(np.asarray(logits[head], float))
         y = np.atleast_1d(_integers(targets[head], f"{head} targets"))
         if z.shape[-2] != y.shape[0]:
-            raise LengthMismatch(f"{head}: {z.shape[-2]} logit rows vs {y.shape[0]} targets")
+            raise ValueError(f"{head}: {z.shape[-2]} logit rows vs {y.shape[0]} targets")
         probs = softmax(z)
         per_head[head] = -np.log(probs[..., np.arange(len(y)), y]).sum(axis=-1) / len(y)
     total = per_head["init"] + per_head["rhyme"] + per_head["tone"]
@@ -518,7 +501,7 @@ def load_params(lines) -> HeadParams:
                 raise ValueError("non-finite values")
             arrays[array_name] = array.reshape(tuple(int(n) for n in shape.split(",")))
             if arrays[array_name].shape != shapes[array_name]:
-                raise ShapeMismatch(f"expected {shapes[array_name]}, got {arrays[array_name].shape}")
+                raise ValueError(f"expected {shapes[array_name]}, got {arrays[array_name].shape}")
     except ValueError as exc:
         raise MalformedParamLine(line_number, f"{array_name}: {exc}" if array_name else str(exc)) from None
     return _assemble(HeadConfig(**fields), arrays)

@@ -11,6 +11,7 @@ or triple takes the rules.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 from .phonology import INITIAL_IPAS, RHYMES, Syllable, Tone
@@ -27,22 +28,6 @@ CONTROL_TOKENS = (BOS, EOS, PAD)
 DESIGN_COUNTS = {"initials": 22, "rhymes": 145, "tones": 6, "total": 163}
 
 
-class UnknownComponent(KeyError):
-    """A syllable component has no token in the vocabulary."""
-
-    def __init__(self, space: str, token: str):
-        super().__init__(f"{space} token {token!r} not in vocabulary")
-        self.space = space
-        self.token = token
-
-
-class IdOutOfRange(IndexError):
-    def __init__(self, space: str, token_id: int, size: int):
-        super().__init__(f"{space} id {token_id} out of range [0, {size})")
-        self.space = space
-        self.token_id = token_id
-
-
 @dataclass(frozen=True)
 class Vocabulary:
     initial_tokens: tuple[str, ...]
@@ -50,8 +35,8 @@ class Vocabulary:
     tone_tokens: tuple[str, ...]
 
     def encode(self, syllable: Syllable) -> tuple[int, int, int]:
-        """The (initial id, rhyme id, tone id) of a syllable: a closed-set syllable is looked up first, in
-        _ids_by_syllable; otherwise the first token missing from its space raises UnknownComponent."""
+        """The (initial id, rhyme id, tone id) of a syllable, as ints: a closed-set syllable is looked up first,
+        in _ids_by_syllable; otherwise the first token missing from its space raises KeyError."""
         try:
             return self._ids_by_syllable[syllable]
         except KeyError:  # outside the closed set
@@ -59,19 +44,21 @@ class Vocabulary:
         tokens = syllable_tokens(Syllable._make(syllable))
         for (space, _), token_ids, token in zip(self.spaces, self._token_ids, tokens):
             if token not in token_ids:
-                raise UnknownComponent(space, token)
+                raise KeyError(f"{space} token {token!r} not in vocabulary")
         return tuple(token_ids[token] for token_ids, token in zip(self._token_ids, tokens))
 
     def decode(self, ids: tuple[int, int, int]) -> Syllable:
-        """The syllable of an (initial id, rhyme id, tone id) triple.
+        """The syllable of an (initial id, rhyme id, tone id) triple of integers.
 
-        A hashable triple of a closed-set syllable's ids returns that syllable
-        itself, the identical object.  Otherwise the first out-of-range id, in
-        initial, rhyme, tone order, raises IdOutOfRange; then a control-token
-        id (BOS/EOS/PAD) raises UnknownComponent, and any other triple splits
-        its rhyme token by rule.
+        Each id goes through operator.index first, so an int or a numpy
+        integer is taken and a float raises TypeError.  A hashable triple of a
+        closed-set syllable's ids returns that syllable itself, the identical
+        object.  Otherwise the first out-of-range id, in initial, rhyme, tone
+        order, raises IndexError; then a control-token id (BOS/EOS/PAD) raises
+        KeyError, and any other triple splits its rhyme token by rule.
         """
         init_id, rhyme_id, tone_id = ids
+        init_id, rhyme_id, tone_id = operator.index(init_id), operator.index(rhyme_id), operator.index(tone_id)
         try:
             return self._syllables_by_ids[ids]
         except (KeyError, TypeError):  # not a closed-set triple; TypeError: unhashable ids
@@ -79,10 +66,10 @@ class Vocabulary:
         spaces = tuple(zip(self.spaces, (init_id, rhyme_id, tone_id)))
         for (space, tokens), token_id in spaces:
             if not 0 <= token_id < len(tokens):
-                raise IdOutOfRange(space, token_id, len(tokens))
+                raise IndexError(f"{space} id {token_id} out of range [0, {len(tokens)})")
         for (space, tokens), token_id in spaces:
             if tokens[token_id] in CONTROL_TOKENS:
-                raise UnknownComponent(space, tokens[token_id])
+                raise KeyError(f"{space} token {tokens[token_id]!r} not in vocabulary")
         glide, vowel, final = self.rhyme_tokens[rhyme_id].split("|")
         return syllable_from_tokens(self.initial_tokens[init_id], glide, vowel, final, self.tone_tokens[tone_id])
 

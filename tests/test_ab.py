@@ -14,7 +14,7 @@ _spec.loader.exec_module(ab)
 BETTER = {"items_per_s": "higher", "op_ms_p50": "lower"}
 
 
-def run_output(workload, scaled, unscaled, failed=0, attempted=100, seed=1, lines=1808):
+def run_output(workload, scaled, unscaled, failed=0, attempted=100, seed=1, lines=1808, failures=()):
     """The lines run.py prints for one untraced workload run."""
     result = {"correct": failed == 0, "attempted": attempted, "failed": failed,
               "metrics": {name: {"value": value, "unit": "u"} for name, value in scaled.items()}}
@@ -22,6 +22,7 @@ def run_output(workload, scaled, unscaled, failed=0, attempted=100, seed=1, line
         f"# {workload} seed={seed} trace=0 ops=120",
         '#   inputs: {"shards": 4}',
         f"#   src_nonblank_lines: {lines}",
+        f"#   failures: {json.dumps(list(failures))}",
         "#   calibration_ms_median: 3.5",
         f"#   unscaled: {json.dumps(unscaled)}",
         f"#   failed_frac: {failed / attempted:.6f} ratio ({failed} of {attempted} items)",
@@ -30,13 +31,14 @@ def run_output(workload, scaled, unscaled, failed=0, attempted=100, seed=1, line
     ])
 
 
-def side(items, op_ms, failed=0, lines=1808):
+def side(items, op_ms, failed=0, lines=1808, failures=()):
     """parse_output of a two-workload run whose gradcheck reads the given figures."""
     text = "\n".join([
         run_output("score", {"items_per_s": 400.0, "op_ms_p50": 60.0}, {"items_per_s": 300.0, "op_ms_p50": 80.0},
                    lines=lines),
         run_output("gradcheck", {"items_per_s": items, "op_ms_p50": op_ms},
-                   {"items_per_s": items / 2, "op_ms_p50": op_ms * 2}, failed=failed, lines=lines),
+                   {"items_per_s": items / 2, "op_ms_p50": op_ms * 2}, failed=failed, lines=lines,
+                   failures=failures),
     ])
     return ab.parse_output(text)
 
@@ -89,6 +91,24 @@ def test_summary_compares_the_failed_share_pair_by_pair():
     failed = row(ab.summarise(pairs, BETTER), "gradcheck", "-", "failed_frac")
     assert failed["base"] == [0.0, 0.0] and failed["head"] == [0.0, 0.03]
     assert failed["equal"] == 1
+
+
+def test_failed_share_counts_the_pairs_where_the_head_failed_more_and_why():
+    changed, wrong = "shard-2: output changed between ops", "shard-0: wer-nfd: 3 of 10 pairs differ"
+    counts = [(3, 0, ()), (0, 0, ()), (0, 5, (changed,)), (2, 4, (wrong, changed))]
+    pairs = [{"base": side(200.0, 5.0, failed=b), "head": side(210.0, 4.9, failed=h, failures=reasons)}
+             for b, h, reasons in counts]
+    rows = ab.summarise(pairs, BETTER)
+    failed = row(rows, "gradcheck", "-", "failed_frac")
+    assert failed["equal"] == 1 and failed["head_more"] == 2
+    assert failed["head_failures"] == [changed, wrong]
+    lines = ab.format_rows(rows)
+    (at,) = [i for i, line in enumerate(lines) if line.startswith("gradcheck  -        failed_frac")]
+    assert lines[at].endswith("equal in 1/4 pairs, head more in 2/4 pairs")
+    assert lines[at + 1].split(maxsplit=2)[:2] == ["head", "failures:"]
+    assert json.loads(lines[at + 1].split("failures: ", 1)[1]) == [changed, wrong]
+    unmoved = [line for line in lines if line.startswith("score      -        failed_frac")]
+    assert unmoved[0].endswith("equal in 4/4 pairs, head more in 0/4 pairs") and len(lines) == len(rows) + 1
 
 
 def test_summary_keeps_only_workloads_every_run_has():

@@ -245,6 +245,14 @@ class TestFilter:
         code, _, err = run(capsys, "filter", str(manifest))
         assert code == 1 and "line 1" in err
 
+    def test_unsplit_split_name_is_an_error(self, capsys, tmp_path):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text('{"id": "a", "transcript": "ba"}\n{"id": "b", "transcript": "ba", "split": "(unsplit)"}\n',
+                            "utf-8")
+        code, out, err = run(capsys, "filter", str(manifest))
+        assert (code, out) == (1, "")
+        assert err == f"error: {manifest}: manifest line 2: split '(unsplit)' is reserved for records without a split\n"
+
     @pytest.mark.parametrize("discard", ["kept.jsonl", "sub/../kept.jsonl"])
     def test_one_file_for_both_outputs_is_usage_error(self, discard, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

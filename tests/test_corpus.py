@@ -149,6 +149,12 @@ class TestManifest:
         _, _, stats = filter_manifest(records)
         assert stats["splits"] == {"(unsplit)": {"total": 2, "flagged": 0, "percent": 0.0}}
 
+    def test_unsplit_row_name_is_refused_as_a_split(self):
+        lines = ['{"id": "a", "transcript": "ba"}', '{"id": "b", "transcript": "okay", "split": "(unsplit)"}']
+        with pytest.raises(MalformedManifestLine,
+                           match=r"^manifest line 2: split '\(unsplit\)' is reserved for records without a split$"):
+            load_manifest(lines)
+
     def test_all_vietnamese_discards_nothing(self, lexicon):
         records = load_manifest(self._lines([" ".join(lexicon[:5])] * 4))
         kept, discarded, stats = filter_manifest(records)

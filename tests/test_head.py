@@ -9,17 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from vietphon import head, vocab
+from vietphon import head
 from vietphon.head import (
     HEADS,
-    EmptySequence,
     HeadConfig,
     HeadParams,
-    IdOutOfRange,
-    LengthMismatch,
-    NonFiniteInput,
-    NonIntegerIds,
-    ShapeMismatch,
     composite_loss,
     finite_difference_grads,
     forward,
@@ -145,7 +139,7 @@ class TestFfn:
             assert a.shape == b.shape and np.array_equal(a, b), name
 
     def test_non_finite_input(self, params):
-        with pytest.raises(NonFiniteInput):
+        with pytest.raises(ValueError, match="^non-finite values in FFN input$"):
             run_features(params, np.array([1.0, np.nan, 0.0, 0.0]))
 
     def test_unknown_residual_mode(self, params):
@@ -172,7 +166,7 @@ class TestHeadLogits:
 
     def test_shape_mismatch(self, params):
         wide = head.HeadParams(params.config, {**params.arrays, "fuse": np.zeros((12, 5))})
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match="^feature dim 5 != model dim 4$"):
             forward(wide, [[0, 0, 0]])
 
     def test_toy_oracle(self, params):
@@ -218,22 +212,19 @@ class TestEmbedPrev:
         )
 
     def test_id_out_of_range(self, params):
-        with pytest.raises(vocab.IdOutOfRange) as exc:
+        with pytest.raises(IndexError, match=r"^rhyme id 9 out of range \[0, 9\)$"):
             forward(params, [(0, CONFIG.v_rhyme, 0)])
-        assert exc.value.space == "rhyme" and exc.value.token_id == CONFIG.v_rhyme
-        with pytest.raises(IdOutOfRange) as exc:
+        with pytest.raises(IndexError, match=r"^init id -1 out of range \[0, 7\)$"):
             forward(params, [(-1, 0, 0)])
-        assert exc.value.space == "init" and exc.value.token_id == -1
-        assert IdOutOfRange is vocab.IdOutOfRange
 
     def test_batch_shape(self, params):
         out = fused(params, [[0, 0, 0], [1, 1, 1]])
         assert out.shape == (2, CONFIG.dim)
 
     def test_ids_must_be_triples(self, params):
-        with pytest.raises(ShapeMismatch, match="id triples"):
+        with pytest.raises(ValueError, match="^expected id triples, got shape"):
             forward(params, [[0, 0]])
-        with pytest.raises(ShapeMismatch, match="id triples"):
+        with pytest.raises(ValueError, match="^expected id triples, got shape"):
             forward(params, [])
 
 
@@ -258,12 +249,12 @@ class TestCompositeLoss:
     def test_length_mismatch(self):
         logits = {h: np.zeros((2, v)) for h, v in CONFIG.vocab_sizes.items()}
         targets = {"init": [0, 0], "rhyme": [0, 0], "tone": [0]}
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ValueError, match="^target lengths differ across heads: "):
             composite_loss(logits, targets)
 
     def test_logit_rows_must_match_targets(self):
         logits = {h: np.zeros((3, v)) for h, v in CONFIG.vocab_sizes.items()}
-        with pytest.raises(LengthMismatch, match="3 logit rows vs 2 targets"):
+        with pytest.raises(ValueError, match="^init: 3 logit rows vs 2 targets$"):
             composite_loss(logits, {h: [0, 0] for h in HEADS})
 
     def test_softmax_sums_to_one(self):
@@ -356,10 +347,10 @@ class TestGradients:
             sequence_grads(params, ids, targets, residual="raw")
         bad_ids = np.array(ids)
         bad_ids[0, 0] = -1
-        with pytest.raises(IdOutOfRange):
+        with pytest.raises(IndexError, match=r"^init id -1 out of range \[0, \d+\)$"):
             sequence_grads(params, bad_ids, targets)
         params["embed.init"][:] = np.nan
-        with pytest.raises(NonFiniteInput):
+        with pytest.raises(ValueError, match="^non-finite values in FFN input$"):
             sequence_grads(params, ids, targets)
 
     def test_grads_total_is_the_loss(self):
@@ -560,10 +551,10 @@ class TestBatchedForward:
             sequence_loss(batched, ids, targets, residual="raw")
         bad_ids = np.array(ids)
         bad_ids[0, 0] = -1
-        with pytest.raises(IdOutOfRange):
+        with pytest.raises(IndexError, match=r"^init id -1 out of range \[0, \d+\)$"):
             sequence_loss(batched, bad_ids, targets)
         batched["fuse"][1, 0, 0] = np.nan
-        with pytest.raises(NonFiniteInput):
+        with pytest.raises(ValueError, match="^non-finite values in FFN input$"):
             sequence_loss(batched, ids, targets)
 
     @pytest.mark.parametrize("batched", [False, True])
@@ -571,19 +562,18 @@ class TestBatchedForward:
         params, ids, targets = toy_batch(seed=0)
         if batched:
             params, _ = variants(params, ["fuse", "init.w_up", "embed.rhyme"], 3, seed=0)
-        assert issubclass(NonIntegerIds, ValueError)
         ids = np.asarray(ids)
         for bad_ids in (ids + 0.9, ids.astype(float), np.ones_like(ids, dtype=bool)):
-            with pytest.raises(NonIntegerIds, match="ids of init, rhyme and tone"):
+            with pytest.raises(ValueError, match="^ids of init, rhyme and tone must be integers, got "):
                 forward(params, bad_ids)
-            with pytest.raises(NonIntegerIds):
+            with pytest.raises(ValueError, match="^ids of init, rhyme and tone must be integers, got "):
                 sequence_loss(params, bad_ids, targets)
         for bad_head in HEADS:
             bad_targets = {**targets, bad_head: np.asarray(targets[bad_head]) + 0.7}
-            with pytest.raises(NonIntegerIds, match=f"{bad_head} targets"):
+            with pytest.raises(ValueError, match=f"^{bad_head} targets must be integers, got float64$"):
                 sequence_loss(params, ids, bad_targets)
             if not batched:
-                with pytest.raises(NonIntegerIds, match=f"{bad_head} targets"):
+                with pytest.raises(ValueError, match=f"^{bad_head} targets must be integers, got float64$"):
                     sequence_grads(params, ids, bad_targets)
         # integer kinds other than int64 still read
         want = sequence_loss(params, ids, targets)[0]
@@ -596,23 +586,23 @@ class TestBatchedForward:
         assert want == sequence_loss(params, ids, targets)[0]
         mixed = [[True, *listed[0][1:]], *listed[1:]]
         for bad in (mixed, [np.array([True, False, True]), *np.asarray(ids)[1:]]):
-            with pytest.raises(NonIntegerIds, match="ids of init, rhyme and tone"):
+            with pytest.raises(ValueError, match="^ids of init, rhyme and tone must be integers, got a bool among"):
                 forward(params, bad)
         for bad_head in HEADS:
             bad_targets = {**targets, bad_head: [False, *np.asarray(targets[bad_head]).tolist()[1:]]}
-            with pytest.raises(NonIntegerIds, match=f"{bad_head} targets"):
+            with pytest.raises(ValueError, match=f"^{bad_head} targets must be integers, got a bool among them$"):
                 sequence_loss(params, ids, bad_targets)
 
     def test_empty_sequence_raises_without_a_warning(self, params):
-        assert issubclass(EmptySequence, ValueError)
         empty = {h: [] for h in HEADS}
+        message = "^no targets: the mean cross entropy of an empty sequence is undefined$"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(EmptySequence):
+            with pytest.raises(ValueError, match=message):
                 sequence_loss(params, np.zeros((0, 3), int), empty)
-            with pytest.raises(EmptySequence):
+            with pytest.raises(ValueError, match=message):
                 sequence_grads(params, np.zeros((0, 3), int), empty)
-            with pytest.raises(EmptySequence):
+            with pytest.raises(ValueError, match=message):
                 composite_loss({h: np.zeros((0, v)) for h, v in CONFIG.vocab_sizes.items()}, empty)
 
 
@@ -654,7 +644,7 @@ class TestParamsIo:
                 init_params(HeadConfig(dim=dim, v_init=5, v_rhyme=5))
 
     def test_tone_space_enforced(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match="^tone vocabulary must be 6, got 5$"):
             init_params(HeadConfig(dim=4, v_init=5, v_rhyme=5, v_tone=5))
 
     def test_seeded_init_reproducible(self):

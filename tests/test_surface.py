@@ -28,6 +28,13 @@ All three read names, not types, so a use of another definition with the
 same name counts.  Enum value members and attributes set in ``__init__``
 are out of their reach.
 
+An exception class exists only where a caller tells it apart from its base.
+So each package class derived, directly or through package classes, from a
+built-in exception must either be named by an ``except`` clause in the
+readers (a member of a caught tuple counts, by name alone) or be exported in
+``vietphon.__all__``.  Any other one is its base class with a new name: raise
+the base, with the same message.
+
 ALLOWED names the definitions and hooks that only the acceptance tests
 call, pass or read, each with the criterion of tests/test_acceptance.py
 that needs it.  An entry the checks no longer find fails too, so the list
@@ -39,9 +46,12 @@ attribute of a package module it imported.
 """
 
 import ast
+import builtins
 import functools
 import pathlib
 import tokenize
+
+import vietphon
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "vietphon"
@@ -242,6 +252,41 @@ def test_every_field_and_property_is_read_outside_the_tests():
 def test_every_allowed_hook_is_still_unused_outside_the_tests():
     found = {key for key, _ in (*_unreached(), *_never_passed(), *_one_valued(), *_unread_attributes())}
     assert sorted(set(ALLOWED) - found) == []
+
+
+def _base_name(node):
+    """The name a class base or except clause writes: ``X`` or the attribute of ``m.X``; None for anything else."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _exception_classes():
+    """(name, place) of every package class derived from a built-in exception, directly or through package classes."""
+    classes = {node.name: (node, path) for path, node in _package_nodes() if isinstance(node, ast.ClassDef)}
+
+    def derived(name):
+        builtin = getattr(builtins, name, None)
+        if isinstance(builtin, type):
+            return issubclass(builtin, BaseException)
+        return name in classes and any(derived(_base_name(base)) for base in classes[name][0].bases)
+
+    for name, (node, path) in classes.items():
+        if derived(name):
+            yield name, f"{path.relative_to(ROOT)}:{node.lineno}"
+
+
+def _caught_names():
+    """Every name an except clause in the readers catches, a tuple's members included."""
+    names = set()
+    for node in _reader_nodes():
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names.update(_base_name(t) for t in types)
+    return names
+
+
+def test_every_exception_class_is_caught_or_exported():
+    kept = _caught_names() | set(vietphon.__all__)
+    assert sorted(f"{place}: {name}" for name, place in _exception_classes() if name not in kept) == []
 
 
 def _is_private(name):

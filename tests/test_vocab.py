@@ -23,8 +23,6 @@ from vietphon.tokenizer import (
 from vietphon.vocab import (
     CONTROL_TOKENS,
     DESIGN_COUNTS,
-    IdOutOfRange,
-    UnknownComponent,
     Vocabulary,
     build_vocab,
     rhyme_token,
@@ -108,17 +106,18 @@ class TestCoding:
 
     def test_unknown_component(self, vocab):
         # structurally well-formed syllable whose rhyme is outside the table
-        with pytest.raises(UnknownComponent):
+        with pytest.raises(KeyError, match=r"""^"rhyme token '∅\|ɔː\|m' not in vocabulary"$"""):
             vocab.encode(Syllable(vowel="ɔː", final="m", tone=Tone.FLAT))
 
     def test_id_out_of_range(self, vocab):
-        with pytest.raises(IdOutOfRange):
-            vocab.decode((0, len(vocab.rhyme_tokens), 0))
-        with pytest.raises(IdOutOfRange):
+        size = len(vocab.rhyme_tokens)
+        with pytest.raises(IndexError, match=rf"^rhyme id {size} out of range \[0, {size}\)$"):
+            vocab.decode((0, size, 0))
+        with pytest.raises(IndexError, match=rf"^initial id -1 out of range \[0, {len(vocab.initial_tokens)}\)$"):
             vocab.decode((-1, 3, 3))
 
     def test_control_ids_do_not_decode(self, vocab):
-        with pytest.raises(UnknownComponent):
+        with pytest.raises(KeyError, match="""^"initial token '<bos>' not in vocabulary"$"""):
             vocab.decode((0, 3, 3))
 
 
@@ -217,13 +216,13 @@ def _reference_decode(vocab, ids):
     )
     for space, token_id, tokens in spaces:
         if not 0 <= token_id < len(tokens):
-            raise IdOutOfRange(space, token_id, len(tokens))
+            raise IndexError(f"{space} id {token_id} out of range [0, {len(tokens)})")
     syllable = vocab._syllables_by_ids.get((init_id, rhyme_id, tone_id))
     if syllable is not None:
         return syllable
     for space, token_id, tokens in spaces:
         if tokens[token_id] in CONTROL_TOKENS:
-            raise UnknownComponent(space, tokens[token_id])
+            raise KeyError(f"{space} token {tokens[token_id]!r} not in vocabulary")
     glide, vowel, final = vocab.rhyme_tokens[rhyme_id].split("|")
     return syllable_from_tokens(vocab.initial_tokens[init_id], glide, vowel, final, vocab.tone_tokens[tone_id])
 
@@ -234,7 +233,7 @@ class TestSyllableIds:
             try:
                 return ids[token]
             except KeyError:
-                raise UnknownComponent(space, token) from None
+                raise KeyError(f"{space} token {token!r} not in vocabulary") from None
 
         initial_ids, rhyme_ids, tone_ids = vocab._token_ids
 
@@ -247,7 +246,7 @@ class TestSyllableIds:
         outcomes = [(_outcome(vocab.encode, s), _outcome(by_rule, s)) for s in component_syllables]
         assert all(got == want for got, want in outcomes)
         raised = [want[0] for _, want in outcomes if isinstance(want[0], type)]
-        assert set(raised) == {UnknownComponent} and 0 < len(raised) < len(outcomes)
+        assert set(raised) == {KeyError} and 0 < len(raised) < len(outcomes)
 
     def test_decode_returns_the_closed_set_syllable_itself(self, vocab):
         for s in closed_syllables().values():
@@ -264,6 +263,15 @@ class TestSyllableIds:
         for wrong_length in (ids[:2], ids + (3,)):
             with pytest.raises(ValueError):
                 vocab.decode(wrong_length)
+
+    def test_decode_refuses_float_ids_on_both_paths(self, vocab):
+        closed = vocab.encode(closed_syllables()["ba"])
+        by_rule = (3, 3, 3)
+        assert closed in vocab._syllables_by_ids and by_rule not in vocab._syllables_by_ids
+        for ids in (closed, by_rule):
+            with pytest.raises(TypeError):
+                vocab.decode(tuple(float(i) for i in ids))
+            assert vocab.decode(tuple(np.int64(i) for i in ids)) == vocab.decode(ids)
 
     def test_plain_tuples_take_the_syllables_path(self, vocab, component_syllables):
         # a Syllable equals and hashes as its plain tuple, so the lookups take both alike; so must the rules

@@ -14,7 +14,10 @@ It prints each side's ``src_nonblank_lines``; then for each workload and
 end-to-end metric both medians and quartiles, the change of the head's median,
 and in how many pairs the head was better (and equal), once for the
 calibration-scaled figures of the final JSON line and once for the unscaled
-ones of the ``# unscaled:`` line.  After the timed pairs one traced pair
+ones of the ``# unscaled:`` line.  Each workload's failed share says in how
+many pairs the sides were equal and in how many the head failed a larger
+share; when it did, the ``failures`` reasons of the head's run in those pairs
+follow.  After the timed pairs one traced pair
 (``--trace 1`` at seed SEED) runs each tree once more and every per-layer count
 (calls, fail, cells, accept_ratio) that differs between the sides is printed.
 ``--out`` writes both sides' parsed output of every pair and of the traced
@@ -98,9 +101,12 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> list[dict]:
                     "pairs": len(pairs),
                 })
         fracs = {side: [failed_frac(pair[side][workload]) for pair in pairs] for side in SIDES}
+        more = [pair for pair, b, h in zip(pairs, fracs["base"], fracs["head"]) if h > b]
+        reasons = [reason for pair in more for reason in pair["head"][workload]["summary"]["failures"]]
         rows.append({"workload": workload, "scale": "-", "metric": "failed_frac", "better": "lower",
                      "base": fracs["base"], "head": fracs["head"], "pairs": len(pairs),
-                     "equal": sum(b == h for b, h in zip(fracs["base"], fracs["head"]))})
+                     "equal": sum(b == h for b, h in zip(fracs["base"], fracs["head"])),
+                     "head_more": len(more), "head_failures": list(dict.fromkeys(reasons))})
     return rows
 
 
@@ -129,7 +135,10 @@ def format_rows(rows: list[dict]) -> list[str]:
         where = f"{row['workload']:<10} {row['scale']:<8} {row['metric']:<12}"
         if row["metric"] == "failed_frac":
             lines.append(f"{where} base {statistics.median(row['base']):.6f}  head "
-                         f"{statistics.median(row['head']):.6f}  equal in {row['equal']}/{row['pairs']} pairs")
+                         f"{statistics.median(row['head']):.6f}  equal in {row['equal']}/{row['pairs']} pairs, "
+                         f"head more in {row['head_more']}/{row['pairs']} pairs")
+            if row["head_more"]:
+                lines.append(f"{'':<32} head failures: {json.dumps(row['head_failures'], ensure_ascii=False)}")
             continue
         base, head = row["base_median"], row["head_median"]
         change = f"{(head - base) / base * 100:+6.1f} %" if base else "     - "
