@@ -57,7 +57,8 @@ class Vocabulary:
         order, raises IndexError; then a control-token id (BOS/EOS/PAD) raises
         KeyError, and any other triple splits its rhyme token by rule.
         """
-        init_id, rhyme_id, tone_id = map(operator.index, ids)
+        init_id, rhyme_id, tone_id = ids
+        init_id, rhyme_id, tone_id = operator.index(init_id), operator.index(rhyme_id), operator.index(tone_id)
         try:
             return self._syllables_by_ids[ids]
         except (KeyError, TypeError):  # not a closed-set triple; TypeError: unhashable ids
