@@ -64,8 +64,10 @@ def align(ref: Sequence, hyp: Sequence) -> list[tuple[str, int, int]]:
     Ops are "match", "sub", "del" (reference token missing from the
     hypothesis), and "ins" (extra hypothesis token); the index that does not
     apply is -1.  Cost ties break substitution > deletion > insertion.
-    Tokens key the match masks, so they must be hashable (a TypeError
-    otherwise) and equal to themselves (a NaN is not).
+    Tokens key the match masks, so they must be equal to themselves (a NaN
+    is not) and hashable, or TypeError: every reference token is hashed, a
+    hypothesis token only outside the common prefix and suffix, which are
+    compared with == alone.
 
     The distance table is never built.  Myers' bit-vector recurrence (JACM
     46(3), 1999) runs one column per hypothesis token over the reference
@@ -76,14 +78,17 @@ def align(ref: Sequence, hyp: Sequence) -> list[tuple[str, int, int]]:
 
     The common suffix is matched without the recurrence: when the last
     tokens are equal, D[m][n] = D[m-1][n-1], so the backtrace would match
-    them first anyway.  The masks are built over the whole reference before
-    the trim, so every reference token is still hashed.  The backtrace
-    carries the current distance D[i][j]: equal tokens are a match with no
-    lookup, for the same reason; otherwise one step reads the diagonal cell
-    (one popcount pair over column j - 1) and, failing a substitution, the
-    single bit i - 1 of column j's pv, which is set exactly when D[i-1][j]
-    is one less.  (The common prefix is not trimmed: the backtrace ends
-    there, and trimming it changes which tokens pair up.)
+    them first anyway.  Over the common prefix p of what is left,
+    D[i][j] = |i - j| for every j <= p, so those columns are written down
+    (pv = full ^ low, mv = low, low = (1 << j) - 1) and the recurrence starts
+    at column p.  They are the columns it would have computed, so the
+    backtrace, which still walks the prefix, gives dp_align's op lists.
+    (Trimming the prefix instead would end the backtrace early and change
+    which tokens pair up.)  The backtrace carries the current distance
+    D[i][j]: equal tokens are a match with no lookup; otherwise one step
+    reads the diagonal cell (one popcount pair over column j - 1) and,
+    failing a substitution, the single bit i - 1 of column j's pv, which is
+    set exactly when D[i-1][j] is one less.
     """
     m, n = len(ref), len(hyp)
     masks = {}
@@ -93,16 +98,19 @@ def align(ref: Sequence, hyp: Sequence) -> list[tuple[str, int, int]]:
     while k < m and k < n and ref[m - 1 - k] == hyp[n - 1 - k]:
         k += 1
     m, n = m - k, n - k
+    p = 0
+    while p < m and p < n and ref[p] == hyp[p]:
+        p += 1
     full = (1 << m) - 1
-    pv, mv = full, 0  # column 0: D[i][0] = i
-    columns = [(pv, mv)]
-    for token in hyp[:n]:
+    columns = [(full ^ (low := (1 << j) - 1), low) for j in range(p + 1)]  # D[i][j] = |i - j|
+    pv, mv = columns[p]
+    for token in hyp[p:n]:
         eq = masks.get(token, 0) & full
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = (mv | ~(xh | pv)) << 1 | 1  # row 0 rises by one a column: D[0][j] = j
-        mh = (pv & xh) << 1
-        pv = (mh | ~(xv | ph)) & full
+        # full ^ x stands for ~x: "& full" and "& xv" cut every bit at or above m before it is read
+        ph = (mv | full ^ (xh | pv)) << 1 | 1  # row 0 rises by one a column: D[0][j] = j
+        pv = ((pv & xh) << 1 | full ^ (xv | ph)) & full
         mv = ph & xv
         columns.append((pv, mv))
 

@@ -206,13 +206,15 @@ def tokenize(transcript: str) -> list[Syllable]:
 
     Expects pre-cleaned lowercase words (see corpus.clean_words).  The first
     unparseable word aborts with its index on the ParseFailure.  Closed-set
-    words are read from closed_syllables(); every other word takes the rule
-    parser.
+    words are read from closed_syllables(), whose keys are NFC, so a word
+    that misses is looked up once more under NFC: the parser reads a word
+    through its NFD, which canonically equivalent words share, so that hit
+    is the word's parse.  Every other word takes the rule parser as given.
     """
     table = closed_syllables()
     syllables = []
     for index, word in enumerate(transcript.split()):
-        syllable = table.get(word)
+        syllable = table.get(word) or table.get(unicodedata.normalize("NFC", word))
         if syllable is None:
             try:
                 syllable = parse_syllable(word).syllable

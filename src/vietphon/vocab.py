@@ -80,13 +80,16 @@ class Vocabulary:
 
     @functools.cached_property
     def _ids_by_syllable(self) -> dict[Syllable, tuple[int, int, int]]:
-        """Each closed-set syllable whose three tokens are all in the spaces -> its (i, r, t) ids."""
+        """Each closed-set syllable whose three tokens (see syllable_tokens) are all in the spaces -> its
+        (i, r, t) ids.  Every closed-set rhyme is in RHYMES, so each rhyme id is looked up once."""
         initial_ids, rhyme_ids, tone_ids = self._token_ids
+        rhymes = {rhyme: rhyme_ids.get(rhyme_token(*rhyme)) for rhyme in RHYMES}
         table = {}
         for s in closed_syllables().values():
-            initial, rhyme, tone = syllable_tokens(s)
-            if initial in initial_ids and rhyme in rhyme_ids and tone in tone_ids:
-                table[s] = initial_ids[initial], rhyme_ids[rhyme], tone_ids[tone]
+            vowel, initial, glide, final, tone = s
+            ids = initial_ids.get(initial or ABSENT), rhymes[glide, vowel, final], tone_ids.get(tone.label)
+            if None not in ids:
+                table[s] = ids
         return table
 
     @functools.cached_property

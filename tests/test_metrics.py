@@ -95,10 +95,11 @@ class TestAlignAgainstTheTable:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_shared_ends(self, data):
-        # suffixes up to 200 tokens carry the trimmed common suffix across the 64-bit word boundary
+        # prefixes and suffixes up to 200 tokens carry the closed-form prefix columns and the trimmed
+        # common suffix across the 64-bit word boundary
         tokens = st.integers(0, data.draw(st.integers(1, 4)) - 1)
-        prefix, a, b = (data.draw(st.lists(tokens, max_size=12)) for _ in range(3))
-        suffix = data.draw(st.lists(tokens, max_size=200))
+        a, b = (data.draw(st.lists(tokens, max_size=12)) for _ in range(2))
+        prefix, suffix = (data.draw(st.lists(tokens, max_size=200)) for _ in range(2))
         ref, hyp = prefix + a + suffix, prefix + b + suffix
         assert align(ref, hyp) == dp_align(ref, hyp)
 
@@ -108,6 +109,17 @@ class TestAlignAgainstTheTable:
         for alphabet in (1, 3):
             ref = [rng.randrange(alphabet) for _ in range(m)]
             assert align(ref, list(ref)) == [("match", t, t) for t in range(m)] == dp_align(ref, ref)
+
+    @pytest.mark.parametrize("p", [1, 2, 63, 64, 65, 130])
+    def test_one_side_is_a_prefix_of_the_other(self, p):
+        # the new token shares no suffix with the prefix, so the common prefix is all of one side
+        rng = random.Random(p)
+        for alphabet in (1, 3):
+            prefix = [rng.randrange(alphabet) for _ in range(p)]
+            for r in (1, 5, 70):
+                longer = prefix + [alphabet] * r
+                assert align(prefix, longer) == dp_align(prefix, longer)  # p == m
+                assert align(longer, prefix) == dp_align(longer, prefix)  # p == n
 
     def test_syllable_and_string_tokens(self, lexicon):
         rng = random.Random(29)
@@ -119,7 +131,7 @@ class TestAlignAgainstTheTable:
             words = ([str(s) for s in ref], [str(s) for s in hyp])
             assert align(*words) == dp_align(*words)
 
-    # ([1, [2]], [3, [2]]): the unhashable token sits in the common suffix, which align trims
+    # ([1, [2]], [3, [2]]): the unhashable token sits in the common suffix, but every reference token is hashed
     @pytest.mark.parametrize("ref, hyp", [([[1]], [[1]]), ([1, 2], [{3}]), ([], [[]]), ([{}], []),
                                           ([1, [2]], [3, [2]])])
     def test_unhashable_tokens_raise_type_error(self, ref, hyp):
@@ -127,6 +139,13 @@ class TestAlignAgainstTheTable:
             align(ref, hyp)
         with pytest.raises(TypeError):
             edit_distance(ref, hyp)
+
+    # {1} == frozenset({1}), so the unhashable hypothesis token sits in the common prefix or suffix
+    @pytest.mark.parametrize("ref, hyp", [([frozenset({1}), 2], [{1}, 3]), ([2, frozenset({1})], [3, {1}]),
+                                          ([frozenset({1})] * 70 + [2], [{1}] * 70 + [3])])
+    def test_shared_end_hypothesis_tokens_are_not_hashed(self, ref, hyp):
+        assert align(ref, hyp) == dp_align(ref, hyp)
+        assert edit_distance(ref, hyp) == (1, 1, 0, 0)
 
 
 class TestEditDistance:

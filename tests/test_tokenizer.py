@@ -190,6 +190,26 @@ class TestTokenize:
             tokenize("ba mẹ xyz ba")
         assert exc.value.index == 2
 
+    def test_nfd_text_tokenizes_as_its_nfc(self, lexicon):
+        text = " ".join(lexicon[::7])
+        assert tokenize(unicodedata.normalize("NFD", text)) == tokenize(text)
+
+    def test_nfd_closed_set_words_take_no_parse(self, lexicon):
+        words = [unicodedata.normalize("NFD", word) for word in lexicon[::7]]
+        assert sum(word not in closed_syllables() for word in words) > len(words) // 2
+        with mock.patch.object(tokenizer, "parse_syllable", wraps=parse_syllable) as parsed:
+            tokenize(" ".join(words))
+            assert parsed.call_count == 0
+            tokenize(unicodedata.normalize("NFD", "bát bàt"))  # "bàt" is outside the closed set
+            assert parsed.call_count == 1 and parsed.call_args.args == (unicodedata.normalize("NFD", "bàt"),)
+
+    def test_unparseable_nfd_word_is_named_as_given(self):
+        word = unicodedata.normalize("NFD", "xyzế")
+        assert word != unicodedata.normalize("NFC", word)
+        with pytest.raises(ParseFailure) as exc:
+            tokenize(f"ba mẹ {word} ba")
+        assert exc.value.word == word and exc.value.index == 2
+
 
 class TestRender:
     def test_que(self):

@@ -227,7 +227,30 @@ def _reference_decode(vocab, ids):
     return syllable_from_tokens(vocab.initial_tokens[init_id], glide, vowel, final, vocab.tone_tokens[tone_id])
 
 
+def _ids_by_syllable_by_tokens(vocab):
+    """_ids_by_syllable's oracle: syllable_tokens of every closed-set syllable, looked up in each space."""
+    initial_ids, rhyme_ids, tone_ids = vocab._token_ids
+    table = {}
+    for s in closed_syllables().values():
+        initial, rhyme, tone = syllable_tokens(s)
+        if initial in initial_ids and rhyme in rhyme_ids and tone in tone_ids:
+            table[s] = initial_ids[initial], rhyme_ids[rhyme], tone_ids[tone]
+    return table
+
+
 class TestSyllableIds:
+    def test_ids_by_syllable_is_the_syllable_tokens_lookup(self, vocab):
+        partial = Vocabulary(vocab.initial_tokens, tuple(t for t in vocab.rhyme_tokens if t != "∅|a|∅"),
+                             vocab.tone_tokens)
+        small = Vocabulary(CONTROL_TOKENS + ("b", "m", "∅"), CONTROL_TOKENS + ("∅|a|∅", "u̯|a|n", "∅|o|∅"),
+                           CONTROL_TOKENS + ("Flat", "MidRaising"))
+        sizes = []
+        for v in (vocab, partial, small):
+            table = v._ids_by_syllable
+            assert list(table.items()) == list(_ids_by_syllable_by_tokens(v).items())
+            sizes.append(len(table))
+        assert len(closed_syllables()) == sizes[0] > sizes[1] > sizes[2] > 0
+
     def test_encode_is_the_three_lookups(self, vocab, component_syllables):
         def lookup(space, ids, token):
             try:
